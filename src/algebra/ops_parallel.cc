@@ -302,7 +302,6 @@ void PairwiseJoinTopKParallel(const Document& document, const FragmentSet& set1,
     // every worker prunes against it; sound because the floor's witnesses
     // need not be offered to any particular chunk.
     chunks.back().collector.SeedFloor(collector->seeded_floor());
-    chunks.back().collector.AttachLiveFloor(collector->live_floor());
   }
   pool->ParallelFor(pairs, [&](unsigned chunk, size_t begin, size_t end) {
     TopKChunk& out = chunks[chunk];

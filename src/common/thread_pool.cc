@@ -51,6 +51,9 @@ void ThreadPool::HelpWhileWaiting(std::unique_lock<std::mutex>& lock,
       cv_.wait(lock, [&] { return done() || !queue_.empty(); });
     }
   }
+  // Post wakes a single thread; if that wakeup landed here just as `done`
+  // turned true, hand it on so the queued task is not stranded.
+  if (!queue_.empty()) cv_.notify_one();
 }
 
 void ThreadPool::Post(std::function<void()> task) {
@@ -58,7 +61,7 @@ void ThreadPool::Post(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
   }
-  cv_.notify_all();
+  cv_.notify_one();
 }
 
 std::vector<std::pair<size_t, size_t>> ThreadPool::Chunks(size_t n,

@@ -11,7 +11,11 @@
 //    p − 1 OS threads and ThreadPool(1) spawns none (pure serial execution);
 //  * a thread waiting for its ParallelFor to finish helps drain the task
 //    queue, which makes nested ParallelFor calls (a parallel kernel running
-//    inside a parallel collection scan) deadlock-free.
+//    inside a parallel collection scan) deadlock-free;
+//  * no stranded task: Post wakes exactly one waiting thread, which may be a
+//    ParallelFor helper rather than a worker. A helper that leaves
+//    HelpWhileWaiting while tasks are still queued passes the wakeup on
+//    (notify_one), so every queued task always has a thread coming for it.
 
 #ifndef XFRAG_COMMON_THREAD_POOL_H_
 #define XFRAG_COMMON_THREAD_POOL_H_
@@ -74,12 +78,14 @@ class ThreadPool {
   /// workers there is no thread to ever run the task. Tasks still queued at
   /// destruction are drained by the exiting workers, not dropped. A thread
   /// blocked in ParallelFor may also pick a posted task up (help-first
-  /// waiting), so tasks must not assume a dedicated thread.
+  /// waiting), so tasks must not assume a dedicated thread. Wakes one
+  /// thread, not the whole pool (see "no stranded task" above).
   void Post(std::function<void()> task);
 
  private:
   void WorkerLoop();
-  /// Pops and runs queued tasks until `done` becomes true (help-first wait).
+  /// Pops and runs queued tasks until `done` becomes true (help-first wait),
+  /// then passes a wakeup on if tasks are still queued.
   void HelpWhileWaiting(std::unique_lock<std::mutex>& lock,
                         const std::function<bool()>& done);
 

@@ -13,12 +13,13 @@ namespace xfrag {
 inline constexpr const char* kVersion = "0.6.0";
 
 /// \brief Revision of the router↔shard and client↔router protocol: the
-/// /query request fields the router understands (`require_complete`,
-/// `bound_exchange`), the shard-side distributed top-k fields
-/// (`score_floor`, `probe_documents`, `skip_documents`, `query_id`), the
-/// POST /threshold endpoint, the `"partial"` response contract, and the
-/// cross-shard merge ordering. Bumped whenever any of those change shape.
-inline constexpr int kRouterProtocolRevision = 3;
+/// /query request fields the router understands (`require_complete`), the
+/// `"partial"` response contract, and the cross-shard merge ordering.
+/// Bumped whenever any of those change shape. Revision 4 made top-k
+/// single-phase: the router forwards the client's request unchanged, and
+/// the shard-side bound-exchange fields (`score_floor`, `probe_documents`,
+/// `skip_documents`, `query_id`) and POST /threshold are gone.
+inline constexpr int kRouterProtocolRevision = 4;
 
 /// \brief One-line build description: version, compiler, language level.
 inline std::string BuildInfo(const char* binary_name) {

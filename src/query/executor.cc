@@ -266,7 +266,6 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
         root->filter != nullptr ? root->filter : algebra::filters::True();
     algebra::TopKCollector collector(k);
     collector.SeedFloor(resolved.score_floor);
-    collector.AttachLiveFloor(resolved.live_score_floor);
     // The bounded kernel caches accept-verdicts too, so DAG compression is
     // only licensed when the residual selection is translation-invariant
     // (the `accept` callback is the caller's promise; see ExecutorOptions).
@@ -297,7 +296,6 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
   if (!full.ok()) return full.status();
   algebra::TopKCollector collector(k);
   collector.SeedFloor(resolved.score_floor);
-  collector.AttachLiveFloor(resolved.live_score_floor);
   for (const Fragment& f : full.value()) {
     if (accept && !accept(f)) continue;
     collector.Offer(f, scorer.Score(f));

@@ -3,7 +3,6 @@
 #ifndef XFRAG_QUERY_EXECUTOR_H_
 #define XFRAG_QUERY_EXECUTOR_H_
 
-#include <atomic>
 #include <limits>
 #include <vector>
 
@@ -51,10 +50,6 @@ struct ExecutorOptions {
   /// strictly below it are pruned; the returned prefix is then exactly the
   /// answers of the unseeded evaluation that score >= the floor.
   double score_floor = -std::numeric_limits<double>::infinity();
-  /// Optional concurrently-raised floor (distributed threshold updates).
-  /// Read with relaxed ordering during the bounded join; must only ever
-  /// rise, through sound values, and must outlive the call.
-  const std::atomic<double>* live_score_floor = nullptr;
   /// Debug audit of the seeded floor: when true, ExecutePlanTopK fails with
   /// Internal if the floor provably suppressed a top-k answer of *this*
   /// plan's own answer stream (fewer than k retained, or a rejected

@@ -1,11 +1,17 @@
 // ThreadPool: deterministic chunking, full coverage of the index range,
-// reentrancy (nested ParallelFor), and concurrent use from many threads.
+// reentrancy (nested ParallelFor), concurrent use from many threads, and the
+// Post task queue (every posted task runs exactly once, including while
+// ParallelFor helpers come and go, and at destruction).
 
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -137,6 +143,114 @@ TEST(ThreadPoolTest, PerChunkAccumulatorsMergeToSerialTotal) {
   });
   uint64_t merged = std::accumulate(partial.begin(), partial.end(), 0ull);
   EXPECT_EQ(merged, serial);
+}
+
+/// Counts finished posted tasks; tests wait on it with a bound, never a
+/// sleep, so a stranded task fails the test instead of hanging it.
+class DoneCounter {
+ public:
+  void Add() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++done_;
+    cv_.notify_all();
+  }
+  bool WaitFor(int want) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(60),
+                        [&] { return done_ >= want; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int done_ = 0;
+};
+
+TEST(ThreadPoolPostTest, PostStormWhileNestedParallelForsComeAndGo) {
+  // Post wakes one thread, and that thread may be a ParallelFor helper whose
+  // own loop is just finishing. Posters storm the queue while other threads
+  // run short nested ParallelFors, so helpers enter and leave their wait
+  // throughout the storm; every posted task must still run exactly once.
+  constexpr int kPosters = 3;
+  constexpr int kPostsEach = 2000;
+  constexpr int kTotal = kPosters * kPostsEach;
+  constexpr int kLoopers = 2;
+  constexpr int kRounds = 40;
+  std::vector<std::atomic<int>> runs(kTotal);
+  DoneCounter done;
+  std::atomic<bool> nested_ok{true};
+  ThreadPool pool(4);
+
+  std::vector<std::thread> threads;
+  for (int l = 0; l < kLoopers; ++l) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::atomic<int> visits{0};
+        pool.ParallelFor(4, [&](unsigned, size_t begin, size_t end) {
+          for (size_t o = begin; o < end; ++o) {
+            pool.ParallelFor(32, [&](unsigned, size_t ib, size_t ie) {
+              visits.fetch_add(static_cast<int>(ie - ib));
+            });
+          }
+        });
+        if (visits.load() != 4 * 32) nested_ok.store(false);
+      }
+    });
+  }
+  for (int p = 0; p < kPosters; ++p) {
+    threads.emplace_back([&, p] {
+      for (int i = 0; i < kPostsEach; ++i) {
+        const int id = p * kPostsEach + i;
+        pool.Post([&, id] {
+          runs[id].fetch_add(1);
+          done.Add();
+        });
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  ASSERT_TRUE(done.WaitFor(kTotal)) << "a posted task was stranded";
+  EXPECT_TRUE(nested_ok.load());
+  for (int id = 0; id < kTotal; ++id) {
+    ASSERT_EQ(runs[id].load(), 1) << "task " << id;
+  }
+}
+
+TEST(ThreadPoolPostTest, PostFromInsideAParallelForChunk) {
+  constexpr int kTasks = 64;
+  std::vector<std::atomic<int>> runs(kTasks);
+  DoneCounter done;
+  ThreadPool pool(4);
+  pool.ParallelFor(kTasks, [&](unsigned, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      pool.Post([&, i] {
+        runs[i].fetch_add(1);
+        done.Add();
+      });
+    }
+  });
+  ASSERT_TRUE(done.WaitFor(kTasks));
+  for (int i = 0; i < kTasks; ++i) ASSERT_EQ(runs[i].load(), 1) << i;
+}
+
+TEST(ThreadPoolPostTest, DestructionDrainsQueuedTasks) {
+  // The only worker is held by a gate task, so the counting tasks are still
+  // queued when destruction begins; the exiting worker must run them all.
+  constexpr int kQueued = 100;
+  std::atomic<int> ran{0};
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto pool = std::make_unique<ThreadPool>(2);
+  pool->Post([gate] { gate.wait(); });
+  for (int i = 0; i < kQueued; ++i) {
+    pool->Post([&] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 0);
+  std::thread destroyer([&] { pool.reset(); });
+  release.set_value();
+  destroyer.join();
+  EXPECT_EQ(ran.load(), kQueued);
 }
 
 }  // namespace

@@ -233,11 +233,13 @@ TEST(XqlEquivalenceTest, QConflictsWithQueryShapingFields) {
               std::string::npos)
         << request;
   }
-  // Distributed top-k shard fields compose with "q" (routers forward
-  // requests untouched): score_floor narrows but never errors.
-  QueryOutcome composed = service.HandleQuery(
-      R"({"q":"{xquery} TOP 2","score_floor":0.0,"query_id":"t1"})");
-  EXPECT_EQ(composed.http_status, 200) << composed.body.Dump();
+  // The retired bound-exchange fields are unknown request fields next to
+  // "q" too, not silently ignored.
+  QueryOutcome retired = service.HandleQuery(
+      R"({"q":"{xquery} TOP 2","score_floor":0.0})");
+  EXPECT_EQ(retired.http_status, 400) << retired.body.Dump();
+  EXPECT_EQ(retired.body.Find("error")->AsString(),
+            "unknown request field \"score_floor\"");
 }
 
 TEST(XqlEquivalenceTest, BatchMixesQAndJsonItems) {

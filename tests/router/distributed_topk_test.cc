@@ -1,26 +1,27 @@
-// The distributed top-k equivalence suite: the router's two-phase bound
-// exchange (probe → global k-th-score floor → refine with "score_floor" +
-// mid-query POST /threshold raises) is a pure work saver — answers must be
-// byte-identical to a single combined xfragd with the exchange on AND off,
+// The distributed top-k exactness oracle. The router answers top-k in one
+// plain scatter: shards hold disjoint documents and an answer never spans
+// documents, so the k-way merge of each shard's own top-k is exactly the
+// global top-k. Answers must be byte-identical to a single combined xfragd
 // over randomized queries, shard counts {1, 2, 4}, k in {1, 3, 10, 50}, and
 // a deliberately ties-heavy corpus (replicated document shapes, so score
-// ties straddle shard boundaries and floors equal real answer scores).
+// ties straddle shard boundaries and the k-th score is a multi-way tie).
 //
-// Work metrics legitimately differ under the exchange (that is the point),
-// so comparisons here normalize "metrics" away; the strict metric-inclusive
-// contract lives in router_integration_test.cc with the exchange disabled.
+// Work metrics legitimately differ (each node's shard-local floors prune a
+// different document sequence), so comparisons here normalize "metrics"
+// away; the strict metric-inclusive contract lives in
+// router_integration_test.cc with cross-document floors disabled.
 //
-// Fault injection rides along: a shard killed before or during the exchange
+// Fault injection rides along: a shard killed before or during the query
 // must yield either the complete byte-identical answer or an exact partial
 // (the true top-k over the surviving shards' documents) — never a wrong
-// result — and dropped threshold updates must be harmless. The POST
-// /threshold endpoint contract (unknown ids, strict 400s) is pinned here
-// too. Everything is loopback and hermetic, so the whole file runs under
-// TSan (scripts/check.sh router stage).
+// result. The protocol contract of revision 4 is pinned here too: the
+// retired bound-exchange fields are unknown request fields on both tiers
+// and POST /threshold no longer exists. Everything is loopback and
+// hermetic, so the whole file runs under TSan (scripts/check.sh router
+// stage).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -131,7 +132,7 @@ class DistributedTopKTestBase : public ::testing::Test {
     return router;
   }
 
-  /// Hedging and health probes off: this suite isolates the bound exchange.
+  /// Hedging and health probes off: this suite isolates the top-k merge.
   static RouterOptions QuietRouterOptions() {
     RouterOptions options;
     options.enable_hedging = false;
@@ -164,8 +165,9 @@ class DistributedTopKTestBase : public ::testing::Test {
   }
 
   /// The answer-exactness normalization: zero the timing and drop the work
-  /// "metrics" (the exchange changes work, never answers). Everything else —
-  /// answers, scores, order, counts, truncation — must agree byte for byte.
+  /// "metrics" (shard-local floors change work, never answers). Everything
+  /// else — answers, scores, order, counts, truncation — must agree byte for
+  /// byte.
   static std::string NormalizedTopK(const std::string& body) {
     auto parsed = json::Parse(body);
     EXPECT_TRUE(parsed.ok()) << body;
@@ -255,77 +257,43 @@ class DistributedTopKTest : public DistributedTopKTestBase,
 };
 
 // The core distributed-equivalence contract: for every shard count and every
-// k, the router's top-k — exchange on and exchange off — is byte-identical
-// to the combined node after dropping the work metrics, and across the run
-// the exchange materializes no more joins than the plain scatter.
-TEST_P(DistributedTopKTest, RandomizedTopKByteIdenticalExchangeOnAndOff) {
+// k, the router's top-k is byte-identical to the combined node after
+// dropping the work metrics.
+TEST_P(DistributedTopKTest, RandomizedTopKByteIdenticalToCombinedNode) {
   auto combined_node = StartNode(*combined_);
   auto shards = StartShards();
-  RouterOptions exchange_off = QuietRouterOptions();
-  exchange_off.enable_bound_exchange = false;
-  auto router_on = StartRouter(MapFor(shards), QuietRouterOptions());
-  auto router_off = StartRouter(MapFor(shards), exchange_off);
+  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
 
   Rng rng(0xd15e ^ GetParam());
   int compared = 0;
-  int64_t joins_on = 0;
-  int64_t joins_off = 0;
   for (int64_t k : {int64_t{1}, int64_t{3}, int64_t{10}, int64_t{50}}) {
     for (int q = 0; q < 18; ++q) {
       std::string body = RandomTopKBody(&rng, k);
-      // Warm the shards' fixed-point caches through both routers first: the
-      // join-count comparison below must reflect floor pruning, not which
-      // router happened to pay the one-time closure cost.
-      (void)Post(router_on->port(), "/query", body);
-      (void)Post(router_off->port(), "/query", body);
       auto from_combined = Post(combined_node->port(), "/query", body);
-      auto from_on = Post(router_on->port(), "/query", body);
-      auto from_off = Post(router_off->port(), "/query", body);
+      auto from_router = Post(router->port(), "/query", body);
       ASSERT_TRUE(from_combined.ok()) << from_combined.status().ToString();
-      ASSERT_TRUE(from_on.ok()) << from_on.status().ToString();
-      ASSERT_TRUE(from_off.ok()) << from_off.status().ToString();
-      ASSERT_EQ(from_on->status, 200) << body << "\n" << from_on->body;
-      ASSERT_EQ(from_off->status, 200) << body;
+      ASSERT_TRUE(from_router.ok()) << from_router.status().ToString();
+      ASSERT_EQ(from_router->status, 200) << body << "\n" << from_router->body;
       ASSERT_EQ(from_combined->status, 200) << body;
-      std::string want = NormalizedTopK(from_combined->body);
-      EXPECT_EQ(NormalizedTopK(from_on->body), want)
-          << "exchange on, k=" << k << ": " << body;
-      EXPECT_EQ(NormalizedTopK(from_off->body), want)
-          << "exchange off, k=" << k << ": " << body;
-      // The exchange is a work saver: across the run it must materialize no
-      // more joins than the plain scatter. (Aggregate, not per query — the
-      // resume phase's self-seeded floor restarts after the probe documents,
-      // so a single query may locally do a handful of extra joins.)
-      joins_on += FragmentJoins(from_on->body);
-      joins_off += FragmentJoins(from_off->body);
+      EXPECT_EQ(NormalizedTopK(from_router->body),
+                NormalizedTopK(from_combined->body))
+          << "k=" << k << ": " << body;
       ++compared;
     }
   }
   EXPECT_GE(compared, 72);
-  EXPECT_LE(joins_on, joins_off);
+  EXPECT_EQ(router->partials_served(), 0u);
 
-  if (GetParam() > 1) {
-    // The exchange actually engaged: probes yielded floors that were pushed.
-    EXPECT_GT(router_on->bounds_pushed(), 0u);
-  }
-  EXPECT_EQ(router_off->bounds_pushed(), 0u);
-  // Fire-and-forget raises may be dropped, never over-counted.
-  EXPECT_GE(router_on->threshold_updates_sent(),
-            router_on->threshold_updates_applied());
-  EXPECT_EQ(router_on->bound_exchange_fallbacks(), 0u);
-  EXPECT_EQ(router_on->partials_served(), 0u);
-
-  router_on->Shutdown();
-  router_off->Shutdown();
+  router->Shutdown();
   for (auto& shard : shards) shard->Shutdown();
   combined_node->Shutdown();
 }
 
 // Ties straddling shard boundaries: with four replicated document shapes,
-// the k-th score is a multi-way tie, the pushed floor equals a real answer
-// score, and the canonical (score desc, document order asc) merge must still
-// reproduce the combined node exactly — floors prune strictly below only.
-TEST_P(DistributedTopKTest, TiesAtTheFloorSurviveTheExchange) {
+// the k-th score is a multi-way tie that every shard's local top-k cuts
+// through, and the canonical (score desc, document order asc) merge must
+// still reproduce the combined node exactly.
+TEST_P(DistributedTopKTest, TiesAtTheKthScoreSurviveTheMerge) {
   auto combined_node = StartNode(*combined_);
   auto shards = StartShards();
   auto router = StartRouter(MapFor(shards), QuietRouterOptions());
@@ -348,6 +316,54 @@ TEST_P(DistributedTopKTest, TiesAtTheFloorSurviveTheExchange) {
   router->Shutdown();
   for (auto& shard : shards) shard->Shutdown();
   combined_node->Shutdown();
+}
+
+// The pruning that stays is shard-local: each shard seeds its own top-k floor
+// across its documents (ServiceOptions::enable_cross_document_floor). Through
+// the router it must change work, never answers: shards with the floor on and
+// shards with it off yield byte-identical merged top-k, and across the run
+// the floor materializes fewer joins than the unpruned scatter.
+TEST_P(DistributedTopKTest, ShardLocalFloorPrunesWithoutChangingAnswers) {
+  auto floor_on_shards = StartShards();
+  server::ServerOptions unpruned;
+  unpruned.service.enable_cross_document_floor = false;
+  auto floor_off_shards = StartShards(unpruned);
+  auto router_on = StartRouter(MapFor(floor_on_shards), QuietRouterOptions());
+  auto router_off =
+      StartRouter(MapFor(floor_off_shards), QuietRouterOptions());
+
+  Rng rng(0xf100 ^ GetParam());
+  int compared = 0;
+  int64_t joins_on = 0;
+  int64_t joins_off = 0;
+  for (int64_t k : {int64_t{1}, int64_t{3}, int64_t{10}}) {
+    for (int q = 0; q < 12; ++q) {
+      std::string body = RandomTopKBody(&rng, k);
+      // Warm both shard sets' fixed-point caches first, so the join counts
+      // below reflect floor pruning rather than one-time closure costs.
+      (void)Post(router_on->port(), "/query", body);
+      (void)Post(router_off->port(), "/query", body);
+      auto from_on = Post(router_on->port(), "/query", body);
+      auto from_off = Post(router_off->port(), "/query", body);
+      ASSERT_TRUE(from_on.ok()) << from_on.status().ToString();
+      ASSERT_TRUE(from_off.ok()) << from_off.status().ToString();
+      ASSERT_EQ(from_on->status, 200) << body << "\n" << from_on->body;
+      ASSERT_EQ(from_off->status, 200) << body << "\n" << from_off->body;
+      EXPECT_EQ(NormalizedTopK(from_on->body), NormalizedTopK(from_off->body))
+          << "k=" << k << ": " << body;
+      joins_on += FragmentJoins(from_on->body);
+      joins_off += FragmentJoins(from_off->body);
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 36);
+  // Deterministic corpus and queries: the floor prunes at every shard count.
+  EXPECT_LT(joins_on, joins_off);
+
+  router_on->Shutdown();
+  router_off->Shutdown();
+  for (auto& shard : floor_on_shards) shard->Shutdown();
+  for (auto& shard : floor_off_shards) shard->Shutdown();
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, DistributedTopKTest,
@@ -373,11 +389,10 @@ class DistributedTopKFaultTest : public DistributedTopKTestBase {
   }
 };
 
-// A shard dead before the query: the probe and the refine both miss it, the
-// router falls back to a plain re-scatter (floors seeded from the dead
-// shard's probe could be unsound for a partial answer), and the partial
-// result must be the exact top-k over the surviving documents.
-TEST_F(DistributedTopKFaultTest, DeadShardFallsBackToExactPartial) {
+// A shard dead before the query: the scatter misses it, and the partial
+// result must be the exact top-k over the surviving documents (no shard
+// prunes against another shard's answers, so survivors are self-justified).
+TEST_F(DistributedTopKFaultTest, DeadShardYieldsExactPartial) {
   auto shards = StartShards();
   auto router = StartRouter(MapFor(shards), QuietRouterOptions());
   constexpr size_t kDead = 2;
@@ -397,7 +412,6 @@ TEST_F(DistributedTopKFaultTest, DeadShardFallsBackToExactPartial) {
   ASSERT_EQ(partial->Find("missing_shards")->size(), 1u);
   EXPECT_EQ((*partial->Find("missing_shards"))[0].AsInt(),
             static_cast<int64_t>(kDead));
-  EXPECT_GE(router->bound_exchange_fallbacks(), 1u);
 
   auto oracle = Post(survivor_node->port(), "/query", body);
   ASSERT_TRUE(oracle.ok());
@@ -419,11 +433,10 @@ TEST_F(DistributedTopKFaultTest, DeadShardFallsBackToExactPartial) {
   survivor_node->Shutdown();
 }
 
-// A shard killed mid-exchange (after probing started, racing the refine and
-// any in-flight threshold updates): the result must be either the complete
-// byte-identical answer or an exact partial over the survivors — never a
-// wrong or mixed result. Dropped threshold updates must be harmless.
-TEST_F(DistributedTopKFaultTest, ShardKilledMidExchangeIsNeverWrong) {
+// A shard killed mid-query (while its leg of the scatter is evaluating): the
+// result must be either the complete byte-identical answer or an exact
+// partial over the survivors — never a wrong or mixed result.
+TEST_F(DistributedTopKFaultTest, ShardKilledMidQueryIsNeverWrong) {
   server::ServerOptions slow;
   slow.service.enable_debug_sleep = true;
   auto shards = StartShards(slow);
@@ -438,9 +451,9 @@ TEST_F(DistributedTopKFaultTest, ShardKilledMidExchangeIsNeverWrong) {
   std::thread client([&] {
     response = Post(router->port(), "/query", slow_body);
   });
-  // Let the exchange get under way, then yank the victim shard. Depending on
-  // timing the kill lands during the probe, the refine, or after resolution.
-  WaitUntil([&] { return router->bounds_pushed() > 0; }, 2000);
+  // Let the victim's leg get under way, then yank the shard. Depending on
+  // timing the kill lands during its evaluation or after it answered.
+  WaitUntil([&] { return shards[kVictim]->InFlight() > 0; }, 2000);
   shards[kVictim]->Shutdown();
   client.join();
 
@@ -465,11 +478,9 @@ TEST_F(DistributedTopKFaultTest, ShardKilledMidExchangeIsNeverWrong) {
     auto oracle = Post(survivor_node->port(), "/query", plain_body);
     ASSERT_TRUE(oracle.ok());
     EXPECT_EQ(AnswersOnly(response->body), AnswersOnly(oracle->body))
-        << "mid-exchange kill produced a non-exact partial";
+        << "mid-query kill produced a non-exact partial";
     survivor_node->Shutdown();
   }
-  EXPECT_GE(router->threshold_updates_sent(),
-            router->threshold_updates_applied());
 
   router->Shutdown();
   for (size_t s = 0; s < shards.size(); ++s) {
@@ -477,169 +488,64 @@ TEST_F(DistributedTopKFaultTest, ShardKilledMidExchangeIsNeverWrong) {
   }
 }
 
-// The shard-side POST /threshold contract: unknown query ids are a no-op
-// acknowledgement (the query may have finished already), malformed bodies
-// are strict 400s, and the endpoint is POST-only.
-TEST_F(DistributedTopKFaultTest, ThresholdEndpointContract) {
-  auto node = StartNode(*shard_collections_[0]);
-
-  auto unknown = Post(node->port(), "/threshold",
-                      R"({"query_id":"xr-nope-1","score_floor":1.5})");
-  ASSERT_TRUE(unknown.ok());
-  EXPECT_EQ(unknown->status, 200) << unknown->body;
-  auto parsed = json::Parse(unknown->body);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed->Find("updated")->AsBool());
-
-  for (const char* bad : {
-           R"({"query_id":"x"})",                       // missing floor
-           R"({"score_floor":1.0})",                    // missing id
-           R"({"query_id":"","score_floor":1.0})",      // empty id
-           R"({"query_id":"x","score_floor":"high"})",  // non-numeric floor
-           R"({"query_id":"x","score_floor":1.0,"extra":true})",
-           R"([1,2,3])",
-           R"({"query_id": )",
-       }) {
-    auto response = Post(node->port(), "/threshold", bad);
-    ASSERT_TRUE(response.ok()) << bad;
-    EXPECT_EQ(response->status, 400) << bad << " -> " << response->body;
-  }
-
-  auto wrong_method = Get(node->port(), "/threshold");
-  ASSERT_TRUE(wrong_method.ok());
-  EXPECT_EQ(wrong_method->status, 405);
-
-  node->Shutdown();
-}
-
-// The resume half of the probe/resume split: "skip_documents" is validated
-// like the other shard-protocol fields, and a probe over the first N
-// eligible documents plus a resume skipping them partition the node's work —
-// the counters sum field by field to the plain request's, and every plain
-// top-k answer appears in one of the two answer streams.
-TEST_F(DistributedTopKFaultTest, SkipDocumentsResumePartitionsTheCorpus) {
+// Revision 4 retired the bound exchange. A bare xfragd rejects each of its
+// fields (and the router's former "bound_exchange" switch) as an unknown
+// request field, the router forwards that 400 unchanged (per item on
+// /query_batch), POST /threshold is gone from both tiers, and /version
+// reports the new revision.
+TEST_F(DistributedTopKFaultTest, RetiredExchangeFieldsAreUnknownFields) {
   auto node = StartNode(*combined_);
-
-  for (const char* bad : {
-           R"({"terms":["algebra"],"skip_documents":1})",  // requires top_k
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":0})",
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":-2})",
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":1.5})",
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":"2"})",
-           // A probe evaluates the first documents; a resume skips them.
-           R"({"terms":["algebra"],"top_k":3,"probe_documents":1,)"
-           R"("skip_documents":1})",
-       }) {
-    auto response = Post(node->port(), "/query", bad);
-    ASSERT_TRUE(response.ok()) << bad;
-    EXPECT_EQ(response->status, 400) << bad << " -> " << response->body;
-  }
-
-  auto body_for = [&](const char* extra) {
-    return StrFormat(
-        R"({"terms":["algebra","query"],"top_k":5%s})", extra);
-  };
-  auto plain = Post(node->port(), "/query", body_for(""));
-  auto probe = Post(node->port(), "/query", body_for(",\"probe_documents\":3"));
-  auto resume = Post(node->port(), "/query", body_for(",\"skip_documents\":3"));
-  ASSERT_TRUE(plain.ok() && probe.ok() && resume.ok());
-  ASSERT_EQ(plain->status, 200) << plain->body;
-  ASSERT_EQ(probe->status, 200) << probe->body;
-  ASSERT_EQ(resume->status, 200) << resume->body;
-  auto plain_body = json::Parse(plain->body);
-  auto probe_body = json::Parse(probe->body);
-  auto resume_body = json::Parse(resume->body);
-  ASSERT_TRUE(plain_body.ok() && probe_body.ok() && resume_body.ok());
-  EXPECT_NE(probe_body->Find("probe"), nullptr);
-  EXPECT_NE(resume_body->Find("resume"), nullptr);
-  EXPECT_EQ(plain_body->Find("resume"), nullptr);
-
-  // ("answer_count" is excluded: each half reports its own top-k cap, not a
-  // partition of the plain count.)
-  for (const char* counter : {"documents_evaluated", "documents_skipped"}) {
-    EXPECT_EQ(probe_body->Find(counter)->AsInt() +
-                  resume_body->Find(counter)->AsInt(),
-              plain_body->Find(counter)->AsInt())
-        << counter;
-  }
-
-  // Every plain top-k answer lives in exactly one half of the split (the
-  // halves cover disjoint documents), rendered with identical bytes.
-  std::vector<std::string> halves;
-  for (const json::Value* answers :
-       {probe_body->Find("answers"), resume_body->Find("answers")}) {
-    ASSERT_NE(answers, nullptr);
-    for (const json::Value& answer : answers->items()) {
-      halves.push_back(answer.Dump());
-    }
-  }
-  const json::Value* plain_answers = plain_body->Find("answers");
-  ASSERT_NE(plain_answers, nullptr);
-  EXPECT_GT(plain_answers->items().size(), 0u);
-  for (const json::Value& answer : plain_answers->items()) {
-    EXPECT_EQ(1, std::count(halves.begin(), halves.end(), answer.Dump()))
-        << answer.Dump();
-  }
-
-  node->Shutdown();
-}
-
-// The router owns the shard-side protocol fields: clients may not inject
-// them, and "bound_exchange" must be a proper bool.
-TEST_F(DistributedTopKFaultTest, RouterRejectsClientSuppliedProtocolFields) {
   auto shards = StartShards();
   auto router = StartRouter(MapFor(shards), QuietRouterOptions());
 
-  for (const char* bad : {
-           R"({"terms":["algebra"],"top_k":3,"score_floor":1.0})",
-           R"({"terms":["algebra"],"top_k":3,"probe_documents":1})",
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":1})",
-           R"({"terms":["algebra"],"top_k":3,"query_id":"mine"})",
-           R"({"terms":["algebra"],"top_k":3,"bound_exchange":"yes"})",
-       }) {
-    auto response = Post(router->port(), "/query", bad);
-    ASSERT_TRUE(response.ok()) << bad;
-    EXPECT_EQ(response->status, 400) << bad << " -> " << response->body;
-    auto parsed = json::Parse(response->body);
+  for (const char* field : {"score_floor", "probe_documents", "skip_documents",
+                            "query_id", "bound_exchange"}) {
+    const std::string body = StrFormat(
+        R"({"terms":["algebra"],"top_k":3,"%s":1})", field);
+    auto bare = Post(node->port(), "/query", body);
+    ASSERT_TRUE(bare.ok()) << body;
+    EXPECT_EQ(bare->status, 400) << body << " -> " << bare->body;
+    auto parsed = json::Parse(bare->body);
     ASSERT_TRUE(parsed.ok());
-    EXPECT_NE(parsed->Find("error"), nullptr);
+    EXPECT_EQ(parsed->Find("error")->AsString(),
+              StrFormat("unknown request field \"%s\"", field));
+
+    auto routed = Post(router->port(), "/query", body);
+    ASSERT_TRUE(routed.ok()) << body;
+    EXPECT_EQ(routed->status, 400) << body;
+    EXPECT_EQ(routed->body, bare->body) << body;
+
+    auto batched = Post(router->port(), "/query_batch",
+                        StrFormat(R"([%s,{"terms":["algebra"]}])",
+                                  body.c_str()));
+    ASSERT_TRUE(batched.ok()) << body;
+    ASSERT_EQ(batched->status, 200) << batched->body;
+    auto batch_body = json::Parse(batched->body);
+    ASSERT_TRUE(batch_body.ok());
+    const json::Value* results = batch_body->Find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->size(), 2u);
+    EXPECT_EQ((*results)[0].Find("status")->AsInt(), 400);
+    EXPECT_EQ((*results)[0].Find("body")->Dump(), parsed->Dump()) << body;
+    EXPECT_EQ((*results)[1].Find("status")->AsInt(), 200);
   }
 
-  router->Shutdown();
-  for (auto& shard : shards) shard->Shutdown();
-}
+  for (uint16_t port : {node->port(), router->port()}) {
+    auto threshold = Post(port, "/threshold",
+                          R"({"query_id":"q-1","score_floor":1.5})");
+    ASSERT_TRUE(threshold.ok());
+    EXPECT_EQ(threshold->status, 404) << threshold->body;
+  }
 
-// Per-request opt-out: "bound_exchange": false routes the query through the
-// plain single-phase scatter (no probes, no pushed floors) and still matches
-// the combined node exactly.
-TEST_F(DistributedTopKFaultTest, BoundExchangeOptOutPerRequest) {
-  auto combined_node = StartNode(*combined_);
-  auto shards = StartShards();
-  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
-
-  auto opted_out = Post(
-      router->port(), "/query",
-      R"({"terms":["algebra","query"],"top_k":5,"bound_exchange":false})");
-  ASSERT_TRUE(opted_out.ok());
-  ASSERT_EQ(opted_out->status, 200) << opted_out->body;
-  EXPECT_EQ(router->bounds_pushed(), 0u);
-
-  auto oracle = Post(combined_node->port(), "/query",
-                     R"({"terms":["algebra","query"],"top_k":5})");
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_EQ(NormalizedTopK(opted_out->body), NormalizedTopK(oracle->body));
-
-  // Without the opt-out the same query engages the exchange.
-  auto exchanged = Post(router->port(), "/query",
-                        R"({"terms":["algebra","query"],"top_k":5})");
-  ASSERT_TRUE(exchanged.ok());
-  ASSERT_EQ(exchanged->status, 200);
-  EXPECT_GT(router->bounds_pushed(), 0u);
-  EXPECT_EQ(NormalizedTopK(exchanged->body), NormalizedTopK(oracle->body));
+  auto version = Get(router->port(), "/version");
+  ASSERT_TRUE(version.ok());
+  auto version_body = json::Parse(version->body);
+  ASSERT_TRUE(version_body.ok());
+  EXPECT_EQ(version_body->Find("router_protocol_revision")->AsInt(), 4);
 
   router->Shutdown();
   for (auto& shard : shards) shard->Shutdown();
-  combined_node->Shutdown();
+  node->Shutdown();
 }
 
 }  // namespace

@@ -239,8 +239,9 @@ TEST_F(RouterBatchTest, EnvelopeAndPerItemValidation) {
                 ->status,
             400);
 
-  // Per-item errors come back per item: router-internal protocol fields,
-  // batch-envelope switches on an item, and non-object items.
+  // Per-item errors come back per item: fields the shards reject (the
+  // retired "score_floor" is an unknown field), batch-envelope switches on
+  // an item, and non-object items.
   auto response = Post(
       router->port(), "/query_batch",
       R"([{"terms":["algebra"],"score_floor":1.5},)"
@@ -252,6 +253,8 @@ TEST_F(RouterBatchTest, EnvelopeAndPerItemValidation) {
   const json::Value* results = parsed->Find("results");
   ASSERT_EQ(results->size(), 2u);
   EXPECT_EQ((*results)[0].Find("status")->AsInt(), 400);
+  EXPECT_EQ((*results)[0].Find("body")->Find("error")->AsString(),
+            "unknown request field \"score_floor\"");
   EXPECT_EQ((*results)[1].Find("status")->AsInt(), 400);
 
   // GET is refused with 405.

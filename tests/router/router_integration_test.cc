@@ -229,11 +229,11 @@ class RouterIntegrationTest : public ::testing::Test {
 
 TEST_F(RouterIntegrationTest, RandomizedQueriesByteIdenticalToCombinedNode) {
   // This is the strict legacy contract: full bodies — including the work
-  // "metrics" — must agree byte for byte. Bound exchange, cross-document
-  // floor seeding, and document-class dedup legitimately change the work
-  // counters (answers stay identical; tests/router/distributed_topk_test.cc
-  // and RandomizedQueriesAnswersIdenticalWithDagCompression below prove
-  // that), so all three are disabled here to keep the metric comparison
+  // "metrics" — must agree byte for byte. Cross-document floor seeding and
+  // document-class dedup legitimately change the work counters (answers
+  // stay identical; tests/router/distributed_topk_test.cc and
+  // RandomizedQueriesAnswersIdenticalWithDagCompression below prove that),
+  // so both are disabled here to keep the metric comparison
   // meaningful. Dedup in particular skips duplicate documents entirely on
   // the combined node, so their fixed-point caches run colder than the
   // shards' — visible in the metrics of EXPLAIN requests, which bypass
@@ -246,9 +246,7 @@ TEST_F(RouterIntegrationTest, RandomizedQueriesByteIdenticalToCombinedNode) {
   node_options.service.enable_cross_document_floor = false;
   auto combined_node = StartNode(*combined_, node_options);
   auto shards = StartShards(node_options);
-  RouterOptions router_options = QuietRouterOptions();
-  router_options.enable_bound_exchange = false;
-  auto router = StartRouter(MapFor(shards), router_options);
+  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
 
   // Identical query sequences keep the per-document fixed-point caches on
   // both sides equally warm, so even the "metrics" object must agree.
@@ -283,9 +281,7 @@ TEST_F(RouterIntegrationTest, RandomizedQueriesAnswersIdenticalWithDagCompressio
   node_options.service.enable_cross_document_floor = false;
   auto combined_node = StartNode(*combined_, node_options);
   auto shards = StartShards(node_options);
-  RouterOptions router_options = QuietRouterOptions();
-  router_options.enable_bound_exchange = false;
-  auto router = StartRouter(MapFor(shards), router_options);
+  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
 
   // Work counters drift with dedup (the "metrics" object, and the physical
   // prefilter/top-k counts embedded in per-document EXPLAIN text, which
@@ -604,7 +600,7 @@ TEST_F(RouterIntegrationTest, ObservabilityEndpointsReportRouterShape) {
   ASSERT_TRUE(version.ok());
   auto version_body = json::Parse(version->body);
   ASSERT_TRUE(version_body.ok());
-  EXPECT_GE(version_body->Find("router_protocol_revision")->AsInt(), 1);
+  EXPECT_EQ(version_body->Find("router_protocol_revision")->AsInt(), 4);
 
   auto metrics = Get(router->port(), "/metrics");
   ASSERT_TRUE(metrics.ok());

@@ -8,6 +8,7 @@
 #include "server/server.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -44,8 +45,12 @@ constexpr const char* kDocB = R"(
 class SnapshotReloadTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    snap_a_ = ::testing::TempDir() + "/reload_a.snap";
-    snap_b_ = ::testing::TempDir() + "/reload_b.snap";
+    // Per-process names: ctest runs this fixture's tests as parallel
+    // processes.
+    const std::string prefix =
+        ::testing::TempDir() + "/" + std::to_string(::getpid());
+    snap_a_ = prefix + "-reload_a.snap";
+    snap_b_ = prefix + "-reload_b.snap";
     collection::Collection one;
     ASSERT_TRUE(one.AddXml("a.xml", kDocA).ok());
     ASSERT_TRUE(

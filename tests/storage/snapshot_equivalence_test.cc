@@ -7,6 +7,7 @@
 // non-deterministic field (elapsed_ms).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -72,7 +73,9 @@ class SnapshotEquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(document.ok());
     ASSERT_TRUE(in_memory_->Add("gen.xml", std::move(*document)).ok());
 
-    path_ = new std::string(::testing::TempDir() + "/equivalence.snap");
+    // Per-process name: ctest runs the suite's tests as parallel processes.
+    path_ = new std::string(::testing::TempDir() + "/" +
+                            std::to_string(::getpid()) + "-equivalence.snap");
     auto written =
         WriteSnapshot(*in_memory_, text::IndexOptions{}, *path_);
     ASSERT_TRUE(written.ok()) << written.ToString();

@@ -7,6 +7,7 @@
 #include "storage/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -42,8 +43,10 @@ constexpr const char* kDocB = R"(
     </chapter>
   </book>)";
 
+// Prefixed with the pid: ctest runs each test in its own process, in
+// parallel, and two processes must never write the same file.
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "-" + name;
 }
 
 /// A small mixed collection: two XML documents (kDocB has duplicate
