@@ -28,6 +28,9 @@
 # byte-identity property suite, and the REPL golden-transcript smoke)
 # runs in tier-1 and again under ASan, where the fuzz corpus must be
 # clean — a parser that walks one byte past a malformed query dies here.
+# The `server` and `router` labels run under ASan as well: the HTTP parser,
+# JSON, admission, the router's poll-driven scatter (raw fds and read
+# buffers) and its merge all read bytes that come off a socket.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -89,6 +92,14 @@ echo "== asan: run =="
 # The lang label under ASan is the fuzz gate: truncations, byte mutations,
 # token soup, and pathological nesting must never read out of bounds.
 (cd build-asan && ctest -L lang --output-on-failure -j "$JOBS")
+
+echo "== asan: build server + router suites =="
+cmake --build build-asan -j "$JOBS" --target server_test router_test \
+  xfrag_repl
+
+echo "== asan: run server + router =="
+(cd build-asan && ctest -L server --output-on-failure -j "$JOBS")
+(cd build-asan && ctest -L router --output-on-failure -j "$JOBS")
 
 echo "== tsan: build server + router + parallel suites =="
 cmake -B build-tsan -S . -DXFRAG_SANITIZE=thread >/dev/null

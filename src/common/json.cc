@@ -10,6 +10,90 @@
 
 namespace xfrag::json {
 
+static_assert(sizeof(Value) <= 40, "json::Value grew past its compact layout");
+
+Value::Value(const Value& other)
+    : kind_(other.kind_),
+      integral_(other.integral_),
+      unsigned_(other.unsigned_) {
+  switch (kind_) {
+    case Kind::kString:
+      new (&string_) std::string(other.string_);
+      break;
+    case Kind::kArray:
+      new (&array_) std::vector<Value>(other.array_);
+      break;
+    case Kind::kObject:
+      new (&object_) std::vector<std::pair<std::string, Value>>(other.object_);
+      break;
+    default:
+      CopyScalar(other);
+  }
+}
+
+Value::Value(Value&& other) noexcept { MoveFrom(std::move(other)); }
+
+Value& Value::operator=(const Value& other) {
+  if (this != &other) *this = Value(other);
+  return *this;
+}
+
+Value& Value::operator=(Value&& other) noexcept {
+  if (this == &other) return *this;
+  // `other` may live inside this value's own payload (v = std::move(v[0])),
+  // so take it out before the payload is destroyed.
+  Value taken(std::move(other));
+  Destroy();
+  MoveFrom(std::move(taken));
+  return *this;
+}
+
+void Value::MoveFrom(Value&& other) noexcept {
+  kind_ = other.kind_;
+  integral_ = other.integral_;
+  unsigned_ = other.unsigned_;
+  switch (kind_) {
+    case Kind::kString:
+      new (&string_) std::string(std::move(other.string_));
+      break;
+    case Kind::kArray:
+      new (&array_) std::vector<Value>(std::move(other.array_));
+      break;
+    case Kind::kObject:
+      new (&object_) std::vector<std::pair<std::string, Value>>(
+          std::move(other.object_));
+      break;
+    default:
+      CopyScalar(other);
+  }
+}
+
+void Value::CopyScalar(const Value& other) noexcept {
+  if (kind_ == Kind::kBool) {
+    bool_ = other.bool_;
+  } else if (kind_ == Kind::kNumber && integral_) {
+    int_ = other.int_;
+  } else if (kind_ == Kind::kNumber) {
+    number_ = other.number_;
+  }
+}
+
+void Value::Destroy() noexcept {
+  switch (kind_) {
+    case Kind::kString:
+      string_.~basic_string();
+      break;
+    case Kind::kArray:
+      array_.~vector();
+      break;
+    case Kind::kObject:
+      object_.~vector();
+      break;
+    default:
+      break;
+  }
+}
+
 bool Value::AsBool() const {
   XFRAG_CHECK(kind_ == Kind::kBool);
   return bool_;
@@ -17,7 +101,9 @@ bool Value::AsBool() const {
 
 double Value::AsDouble() const {
   XFRAG_CHECK(kind_ == Kind::kNumber);
-  return number_;
+  if (!integral_) return number_;
+  return unsigned_ ? static_cast<double>(static_cast<uint64_t>(int_))
+                   : static_cast<double>(int_);
 }
 
 int64_t Value::AsInt() const {
@@ -41,15 +127,30 @@ const Value& Value::operator[](size_t i) const {
   return array_[i];
 }
 
+Value& Value::operator[](size_t i) {
+  XFRAG_CHECK(kind_ == Kind::kArray && i < array_.size());
+  return array_[i];
+}
+
+const std::vector<Value>& Value::items() const {
+  static const std::vector<Value> kNone;
+  return kind_ == Kind::kArray ? array_ : kNone;
+}
+
+const std::vector<std::pair<std::string, Value>>& Value::members() const {
+  static const std::vector<std::pair<std::string, Value>> kNone;
+  return kind_ == Kind::kObject ? object_ : kNone;
+}
+
 Value& Value::Append(Value element) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kArray;
+  if (kind_ == Kind::kNull) *this = Array();
   XFRAG_CHECK(kind_ == Kind::kArray);
   array_.push_back(std::move(element));
   return *this;
 }
 
 Value& Value::Set(std::string key, Value value) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kObject;
+  if (kind_ == Kind::kNull) *this = Object();
   XFRAG_CHECK(kind_ == Kind::kObject);
   for (auto& member : object_) {
     if (member.first == key) {
@@ -67,6 +168,10 @@ const Value* Value::Find(std::string_view key) const {
     if (member.first == key) return &member.second;
   }
   return nullptr;
+}
+
+Value* Value::Find(std::string_view key) {
+  return const_cast<Value*>(std::as_const(*this).Find(key));
 }
 
 bool Value::Remove(std::string_view key) {
@@ -94,7 +199,7 @@ bool Value::operator==(const Value& other) const {
         return int_ == other.int_ &&
                (unsigned_ == other.unsigned_ || int_ >= 0);
       }
-      return number_ == other.number_;
+      return AsDouble() == other.AsDouble();
     case Kind::kString:
       return string_ == other.string_;
     case Kind::kArray:
@@ -107,7 +212,15 @@ bool Value::operator==(const Value& other) const {
 
 void AppendQuoted(std::string* out, std::string_view s) {
   out->push_back('"');
-  for (char c : s) {
+  // Bytes that need no escape are appended in runs, not one at a time.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -130,16 +243,14 @@ void AppendQuoted(std::string* out, std::string_view s) {
       case '\f':
         *out += "\\f";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
 }
 
@@ -183,7 +294,8 @@ void Value::DumpTo(std::string* out, int indent, int depth) const {
       *out += bool_ ? "true" : "false";
       return;
     case Kind::kNumber:
-      AppendNumber(out, number_, integral_, unsigned_, int_);
+      AppendNumber(out, integral_ ? 0.0 : number_, integral_, unsigned_,
+                   integral_ ? int_ : 0);
       return;
     case Kind::kString:
       AppendQuoted(out, string_);
@@ -230,10 +342,12 @@ std::string Value::Dump(int indent) const {
   return out;
 }
 
-namespace {
-
 // Recursive-descent parser over the input span; `pos` always points at the
 // next unconsumed byte, so a failure's offset is simply the current `pos`.
+// Every Parse* call fills a null Value in place — the root, an element just
+// appended to its array, or a member just appended to its object — so no
+// value is built twice. A friend of Value, hence outside the anonymous
+// namespace.
 class Parser {
  public:
   Parser(std::string_view text, size_t* error_offset)
@@ -291,7 +405,7 @@ class Parser {
         *out = Value(false);
         return Status::OK();
       case '"':
-        return ParseString(out);
+        return ParseStringValue(out);
       case '[':
         return ParseArray(out, depth);
       case '{':
@@ -311,9 +425,8 @@ class Parser {
     }
     while (true) {
       SkipWhitespace();
-      Value element;
-      XFRAG_RETURN_NOT_OK(ParseValue(&element, depth + 1));
-      out->Append(std::move(element));
+      XFRAG_RETURN_NOT_OK(
+          ParseValue(&out->array_.emplace_back(), depth + 1));
       SkipWhitespace();
       if (AtEnd()) return Fail("unterminated array");
       char c = Peek();
@@ -332,6 +445,7 @@ class Parser {
   Status ParseObject(Value* out, int depth) {
     ++pos_;  // '{'
     *out = Value::Object();
+    auto& members = out->object_;
     SkipWhitespace();
     if (!AtEnd() && Peek() == '}') {
       ++pos_;
@@ -340,15 +454,25 @@ class Parser {
     while (true) {
       SkipWhitespace();
       if (AtEnd() || Peek() != '"') return Fail("expected object key");
-      Value key;
+      std::string key;
       XFRAG_RETURN_NOT_OK(ParseString(&key));
       SkipWhitespace();
       if (AtEnd() || Peek() != ':') return Fail("expected ':' after key");
       ++pos_;
       SkipWhitespace();
-      Value member;
-      XFRAG_RETURN_NOT_OK(ParseValue(&member, depth + 1));
-      out->Set(key.AsString(), std::move(member));
+      // A duplicate key overwrites the earlier member in place (Set's rule).
+      Value* slot = nullptr;
+      for (auto& member : members) {
+        if (member.first == key) {
+          slot = &member.second;
+          *slot = Value();
+          break;
+        }
+      }
+      if (slot == nullptr) {
+        slot = &members.emplace_back(std::move(key), Value()).second;
+      }
+      XFRAG_RETURN_NOT_OK(ParseValue(slot, depth + 1));
       SkipWhitespace();
       if (AtEnd()) return Fail("unterminated object");
       char c = Peek();
@@ -403,52 +527,65 @@ class Parser {
     }
   }
 
-  Status ParseString(Value* out) {
+  /// Fills a null value with the string literal at `pos_`.
+  Status ParseStringValue(Value* out) {
+    out->kind_ = Value::Kind::kString;
+    new (&out->string_) std::string();
+    return ParseString(&out->string_);
+  }
+
+  /// Decodes the string literal at `pos_` (the opening quote) into `result`.
+  Status ParseString(std::string* result) {
     ++pos_;  // '"'
-    std::string result;
     while (true) {
+      // The run of bytes up to the next quote, escape or control character
+      // goes in with one append.
+      size_t run = pos_;
+      while (run < text_.size()) {
+        const char c = text_[run];
+        if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+          break;
+        }
+        ++run;
+      }
+      result->append(text_.data() + pos_, run - pos_);
+      pos_ = run;
       if (AtEnd()) return Fail("unterminated string");
-      char c = text_[pos_];
+      const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
-        *out = Value(std::move(result));
         return Status::OK();
       }
       if (static_cast<unsigned char>(c) < 0x20) {
         return Fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        result.push_back(c);
-        ++pos_;
-        continue;
       }
       ++pos_;  // '\'
       if (AtEnd()) return Fail("unterminated escape");
       char esc = text_[pos_++];
       switch (esc) {
         case '"':
-          result.push_back('"');
+          result->push_back('"');
           break;
         case '\\':
-          result.push_back('\\');
+          result->push_back('\\');
           break;
         case '/':
-          result.push_back('/');
+          result->push_back('/');
           break;
         case 'n':
-          result.push_back('\n');
+          result->push_back('\n');
           break;
         case 't':
-          result.push_back('\t');
+          result->push_back('\t');
           break;
         case 'r':
-          result.push_back('\r');
+          result->push_back('\r');
           break;
         case 'b':
-          result.push_back('\b');
+          result->push_back('\b');
           break;
         case 'f':
-          result.push_back('\f');
+          result->push_back('\f');
           break;
         case 'u': {
           uint32_t cp = 0;
@@ -469,7 +606,7 @@ class Parser {
           } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
             return Fail("lone low surrogate in \\u escape");
           }
-          AppendUtf8(&result, cp);
+          AppendUtf8(result, cp);
           break;
         }
         default:
@@ -538,8 +675,6 @@ class Parser {
   size_t pos_ = 0;
   size_t* error_offset_;
 };
-
-}  // namespace
 
 StatusOr<Value> Parse(std::string_view text, size_t* error_offset) {
   return Parser(text, error_offset).Run();

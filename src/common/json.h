@@ -1,6 +1,7 @@
 // A small dependency-free JSON value tree with a writer and a strict
 // RFC 8259 parser — the wire format of the xfragd serving subsystem
-// (src/server) and the BENCH_*.json emitters. Design points:
+// (src/server), the router's shard bodies (src/router) and the BENCH_*.json
+// emitters. Design points:
 //
 //  * one Value type holding null/bool/number/string/array/object; objects
 //    preserve insertion order so rendered responses are deterministic;
@@ -9,11 +10,19 @@
 //    formatting via std::to_chars);
 //  * Parse reports the byte offset of the first error — the server's
 //    structured 400 bodies ({"error": ..., "offset": N}) depend on it.
-
+//
+// Layout: a Value is a one-byte kind and two number flags followed by a
+// union of the payloads — bool, int64 (uint64 bit pattern when unsigned),
+// double, std::string, the array vector and the member vector — 40 bytes
+// with libstdc++. A scalar carries no container, so a shard body's node-id
+// arrays cost 40 bytes an element instead of one string and two vectors
+// each. The parser builds strings, elements and members in place inside
+// their parent, with no temporary Value per member.
 #ifndef XFRAG_COMMON_JSON_H_
 #define XFRAG_COMMON_JSON_H_
 
 #include <cstdint>
+#include <new>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,35 +35,49 @@ namespace xfrag::json {
 /// \brief One JSON value (recursively, a whole document).
 class Value {
  public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  enum class Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Constructs null.
-  Value() = default;
+  Value() noexcept {}
 
-  Value(bool b) : kind_(Kind::kBool), bool_(b) {}  // NOLINT(runtime/explicit)
+  Value(bool b) : kind_(Kind::kBool) { bool_ = b; }  // NOLINT
   Value(int i) : Value(static_cast<int64_t>(i)) {}  // NOLINT
   Value(int64_t i)  // NOLINT(runtime/explicit)
-      : kind_(Kind::kNumber), number_(static_cast<double>(i)), integral_(true),
-        int_(i) {}
+      : kind_(Kind::kNumber), integral_(true) {
+    int_ = i;
+  }
   Value(uint64_t u)  // NOLINT(runtime/explicit)
-      : kind_(Kind::kNumber), number_(static_cast<double>(u)), integral_(true),
-        unsigned_(true), int_(static_cast<int64_t>(u)) {}
-  Value(double d) : kind_(Kind::kNumber), number_(d) {}  // NOLINT
+      : kind_(Kind::kNumber), integral_(true), unsigned_(true) {
+    int_ = static_cast<int64_t>(u);
+  }
+  Value(double d) : kind_(Kind::kNumber) { number_ = d; }  // NOLINT
   Value(std::string s)  // NOLINT(runtime/explicit)
-      : kind_(Kind::kString), string_(std::move(s)) {}
-  Value(std::string_view s) : kind_(Kind::kString), string_(s) {}  // NOLINT
-  Value(const char* s) : kind_(Kind::kString), string_(s) {}  // NOLINT
+      : kind_(Kind::kString) {
+    new (&string_) std::string(std::move(s));
+  }
+  Value(std::string_view s) : kind_(Kind::kString) {  // NOLINT
+    new (&string_) std::string(s);
+  }
+  Value(const char* s) : Value(std::string_view(s)) {}  // NOLINT
+
+  Value(const Value& other);
+  Value(Value&& other) noexcept;
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value() { Destroy(); }
 
   /// Factories for the container kinds (an empty `{}`/`[]` is not expressible
   /// through the converting constructors).
   static Value Array() {
     Value v;
     v.kind_ = Kind::kArray;
+    new (&v.array_) std::vector<Value>();
     return v;
   }
   static Value Object() {
     Value v;
     v.kind_ = Kind::kObject;
+    new (&v.object_) std::vector<std::pair<std::string, Value>>();
     return v;
   }
 
@@ -80,7 +103,9 @@ class Value {
 
   /// Array element access (requires is_array()).
   const Value& operator[](size_t i) const;
-  const std::vector<Value>& items() const { return array_; }
+  Value& operator[](size_t i);
+  /// The elements of an array; empty for every other kind.
+  const std::vector<Value>& items() const;
 
   /// \brief Appends to an array (a null Value becomes an array first).
   /// Returns *this for chaining.
@@ -92,14 +117,14 @@ class Value {
 
   /// Object member lookup; nullptr when absent (or not an object).
   const Value* Find(std::string_view key) const;
+  Value* Find(std::string_view key);
 
   /// \brief Removes `key` from an object, preserving the order of the
   /// remaining members. Returns whether the key was present (false also for
   /// non-objects).
   bool Remove(std::string_view key);
-  const std::vector<std::pair<std::string, Value>>& members() const {
-    return object_;
-  }
+  /// The members of an object; empty for every other kind.
+  const std::vector<std::pair<std::string, Value>>& members() const;
 
   /// \brief Renders the value as JSON text. `indent` < 0 produces the compact
   /// single-line form; `indent` >= 0 pretty-prints with that many spaces per
@@ -109,19 +134,31 @@ class Value {
   bool operator==(const Value& other) const;
 
  private:
+  friend class Parser;
+
   void DumpTo(std::string* out, int indent, int depth) const;
+  /// Move-constructs the payload of `other` into this (payload-free) value;
+  /// `other` keeps its kind with an emptied container or string.
+  void MoveFrom(Value&& other) noexcept;
+  /// Copies the active scalar member of `other` (kind and flags already
+  /// copied; a no-op for null).
+  void CopyScalar(const Value& other) noexcept;
+  /// Ends the payload's lifetime; the value must be re-initialised after.
+  void Destroy() noexcept;
 
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
   bool integral_ = false;
   /// int_ holds a uint64_t bit pattern (counters above INT64_MAX must not
   /// render with a sign flip).
   bool unsigned_ = false;
-  int64_t int_ = 0;
-  std::string string_;
-  std::vector<Value> array_;
-  std::vector<std::pair<std::string, Value>> object_;
+  union {
+    bool bool_;
+    int64_t int_ = 0;
+    double number_;
+    std::string string_;
+    std::vector<Value> array_;
+    std::vector<std::pair<std::string, Value>> object_;
+  };
 };
 
 /// \brief Appends `s` to `out` as a quoted, escaped JSON string literal.

@@ -1,8 +1,11 @@
 #include "router/backend_client.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <utility>
 
 #include "common/strings.h"
@@ -202,6 +205,165 @@ StatusOr<BackendResponse> BackendClient::Call(
     return result.status();
   }
   return last;
+}
+
+PolledCall::PolledCall(BackendClient* client, const std::string* request)
+    : client_(client),
+      request_(request),
+      parser_(client->options_.max_response_bytes) {
+  conn_ = client_->TakePooled();
+  if (!conn_.valid()) {
+    Dial();
+    return;
+  }
+  pooled_ = true;
+  response_.reused_connection = true;
+  state_ = State::kWriting;
+  Write();
+}
+
+short PolledCall::events() const {
+  return state_ == State::kReading ? POLLIN : POLLOUT;
+}
+
+PolledCall::Clock::time_point PolledCall::dial_deadline() const {
+  return state_ == State::kConnecting ? dial_deadline_
+                                      : Clock::time_point::max();
+}
+
+void PolledCall::Dial() {
+  state_ = State::kConnecting;
+  while (dial_attempts_ < client_->options_.max_connect_attempts) {
+    ++dial_attempts_;
+    auto conn = server::StartConnectTcp(client_->host_, client_->port_);
+    if (!conn.ok()) {
+      error_ = conn.status();
+      continue;  // refused at once: the next attempt, as in Call()
+    }
+    conn_ = std::move(*conn);
+    dial_deadline_ = Clock::now() + std::chrono::milliseconds(
+                                        client_->options_.connect_timeout_ms);
+    return;
+  }
+  Fail(error_);
+}
+
+void PolledCall::DialExpired(Clock::time_point now) {
+  if (state_ != State::kConnecting || now < dial_deadline_) return;
+  conn_.Reset();
+  error_ = Status::DeadlineExceeded(StrFormat(
+      "connect %s:%u timed out after %d ms", client_->host_.c_str(),
+      unsigned{client_->port_}, client_->options_.connect_timeout_ms));
+  Dial();
+}
+
+void PolledCall::Advance(short revents) {
+  if (revents == 0) return;
+  switch (state_) {
+    case State::kConnecting:
+      OnConnected();
+      return;
+    case State::kWriting:
+      Write();
+      return;
+    case State::kReading:
+      Read();
+      return;
+    default:
+      return;
+  }
+}
+
+void PolledCall::OnConnected() {
+  Status connected = server::FinishConnectTcp(conn_.get(), client_->host_,
+                                              client_->port_);
+  if (!connected.ok()) {
+    conn_.Reset();
+    error_ = std::move(connected);
+    Dial();
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(client_->mutex_);
+    ++client_->connects_;
+  }
+  state_ = State::kWriting;
+  Write();
+}
+
+void PolledCall::Write() {
+  while (written_ < request_->size()) {
+    ssize_t n = ::send(conn_.get(), request_->data() + written_,
+                       request_->size() - written_,
+                       MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // poll POLLOUT
+      OnIoError(Status::Internal(StrFormat("send: %s", std::strerror(errno))));
+      return;
+    }
+    written_ += static_cast<size_t>(n);
+  }
+  state_ = State::kReading;
+}
+
+void PolledCall::Read() {
+  // One recv per readiness report: poll is level-triggered, so bytes left
+  // in the socket show up on the next round.
+  char buf[16 * 1024];
+  ssize_t n = 0;
+  do {
+    n = ::recv(conn_.get(), buf, sizeof(buf), MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    OnIoError(Status::Internal(StrFormat("recv: %s", std::strerror(errno))));
+    return;
+  }
+  auto state = n == 0 ? parser_.OnEof()
+                      : parser_.Feed(std::string_view(buf, n));
+  if (state == HttpResponseParser::State::kNeedMore && n > 0) return;
+  if (state != HttpResponseParser::State::kComplete) {
+    OnIoError(Status::Internal(StrFormat(
+        "bad response from %s:%u: %s", client_->host_.c_str(),
+        unsigned{client_->port_},
+        parser_.error().empty() ? "connection closed mid-response"
+                                : parser_.error().c_str())));
+    return;
+  }
+  response_.status = parser_.response().status;
+  response_.body = parser_.response().body;
+  if (parser_.response().keep_alive) {
+    client_->ReturnPooled(std::move(conn_));
+  } else {
+    conn_.Reset();
+  }
+  state_ = State::kDone;
+}
+
+void PolledCall::OnIoError(Status status) {
+  if (!pooled_ || parser_.saw_bytes()) {
+    Fail(std::move(status));
+    return;
+  }
+  // A stale pooled connection: the request never reached the shard's
+  // handler, so it goes out again on a fresh dial.
+  {
+    std::lock_guard<std::mutex> lock(client_->mutex_);
+    ++client_->stale_retries_;
+  }
+  pooled_ = false;
+  response_.reused_connection = false;
+  written_ = 0;
+  parser_ = HttpResponseParser(client_->options_.max_response_bytes);
+  conn_.Reset();
+  Dial();
+}
+
+void PolledCall::Fail(Status status) {
+  conn_.Reset();
+  error_ = std::move(status);
+  state_ = State::kFailed;
 }
 
 }  // namespace xfrag::router

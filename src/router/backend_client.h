@@ -13,14 +13,20 @@
 // response byte (a stale keep-alive race) or a connect() that failed
 // outright. Once a response byte has been seen, the error is surfaced.
 //
-// Calls are cancelable from another thread through CallCancel — the
-// scatter-gather layer uses this to abandon the hedging loser. Cancel() uses
-// shutdown(2), never close(2), so the fd stays valid (no fd-reuse race) and
-// the blocked recv/send in the calling thread wakes with an error.
+// Call() blocks its thread; it serves the health checker and any caller
+// that wants one exchange at a time. Calls are cancelable from another
+// thread through CallCancel. Cancel() uses shutdown(2), never close(2), so
+// the fd stays valid (no fd-reuse race) and the blocked recv/send in the
+// calling thread wakes with an error.
+//
+// PolledCall is the same exchange with the same retry rules, driven by the
+// caller's own poll() loop instead: the router's scatter runs all of a
+// query's legs on its HTTP worker thread this way, with no thread per leg.
 
 #ifndef XFRAG_ROUTER_BACKEND_CLIENT_H_
 #define XFRAG_ROUTER_BACKEND_CLIENT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -112,6 +118,8 @@ class BackendClient {
   PoolStats Stats() const;
 
  private:
+  friend class PolledCall;
+
   server::UniqueFd TakePooled();
   void ReturnPooled(server::UniqueFd fd);
   StatusOr<BackendResponse> Exchange(server::UniqueFd* conn,
@@ -129,6 +137,83 @@ class BackendClient {
   uint64_t connects_ = 0;
   uint64_t reuses_ = 0;
   uint64_t stale_retries_ = 0;
+};
+
+/// \brief One exchange with a BackendClient's shard, advanced by the
+/// caller's poll() loop: poll fd() for events(), hand the result to
+/// Advance(), and read the outcome once finished().
+///
+/// The retry rules are Call()'s: a pooled connection that fails before the
+/// first response byte is re-dialed once, and a dial that fails is retried
+/// up to max_connect_attempts. A dial never blocks — it is in the poll set
+/// like any other leg, bounded by connect_timeout_ms (see DialExpired).
+/// Pooled sockets stay in blocking mode, because Call() shares the pool:
+/// reads and writes here pass MSG_DONTWAIT instead, and a dial's socket is
+/// non-blocking only until it connects. A completed exchange returns its
+/// connection to the pool when the shard keeps it alive; one destroyed
+/// before it completes (a hedge loser, a leg past the deadline) closes it.
+class PolledCall {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// `request` (a BuildRequest message) must outlive the call. Starts at
+  /// once: takes a pooled connection, or begins a dial, and writes what the
+  /// socket takes without waiting.
+  PolledCall(BackendClient* client, const std::string* request);
+
+  PolledCall(const PolledCall&) = delete;
+  PolledCall& operator=(const PolledCall&) = delete;
+
+  bool finished() const {
+    return state_ == State::kDone || state_ == State::kFailed;
+  }
+  /// True when finished with a complete response (any HTTP status).
+  bool ok() const { return state_ == State::kDone; }
+  /// The failure of a finished, not ok() call.
+  const Status& error() const { return error_; }
+  /// The response of an ok() call; the caller may move it out.
+  BackendResponse& response() { return response_; }
+
+  /// The socket to poll and the events to wait for (while !finished()).
+  int fd() const { return conn_.get(); }
+  short events() const;
+
+  /// Moves the exchange on after poll() reported `revents` for fd().
+  void Advance(short revents);
+
+  /// When a dial is in flight, the time by which it must connect;
+  /// Clock::time_point::max() otherwise.
+  Clock::time_point dial_deadline() const;
+  /// Fails (or re-dials, while attempts remain) a dial past its deadline.
+  void DialExpired(Clock::time_point now);
+
+ private:
+  enum class State { kConnecting, kWriting, kReading, kDone, kFailed };
+
+  /// Starts dials until one is in flight or connected, or the attempts run
+  /// out.
+  void Dial();
+  /// A dial's socket became writable: the connect finished, one way or
+  /// the other.
+  void OnConnected();
+  void Write();
+  void Read();
+  /// An I/O error or premature EOF: re-dial a stale pooled connection that
+  /// yielded no response byte, else fail.
+  void OnIoError(Status status);
+  void Fail(Status status);
+
+  BackendClient* client_;
+  const std::string* request_;
+  State state_ = State::kFailed;
+  server::UniqueFd conn_;
+  bool pooled_ = false;  // conn_ came from the pool
+  int dial_attempts_ = 0;
+  Clock::time_point dial_deadline_ = Clock::time_point::max();
+  size_t written_ = 0;
+  server::HttpResponseParser parser_;
+  BackendResponse response_;
+  Status error_ = Status::OK();
 };
 
 }  // namespace xfrag::router

@@ -49,17 +49,23 @@ Status GlobalizeAnswer(json::Value* answer, size_t doc_base,
 }
 
 /// One shard's cursor into its ranked answers array during the k-way merge.
+/// The array is found once and the head answer's sort keys are read once per
+/// head, not on every comparison.
 struct RankedCursor {
-  const ShardBody* shard = nullptr;
+  json::Value* answers = nullptr;
+  uint64_t doc_base = 0;
   size_t next = 0;
+  double score = 0.0;
+  uint64_t global_doc = 0;
 
-  double score() const {
-    return (*shard->body.Find("answers"))[next].Find("score")->AsDouble();
-  }
-  uint64_t global_doc() const {
-    const json::Value& answer = (*shard->body.Find("answers"))[next];
-    return static_cast<uint64_t>(answer.Find("document_index")->AsInt()) +
-           static_cast<uint64_t>(shard->doc_base);
+  /// Reads the head answer's keys; false once the array is exhausted.
+  bool LoadHead() {
+    if (next >= answers->size()) return false;
+    const json::Value& head = (*answers)[next];
+    score = head.Find("score")->AsDouble();
+    global_doc =
+        static_cast<uint64_t>(head.Find("document_index")->AsInt()) + doc_base;
+    return true;
   }
 };
 
@@ -105,6 +111,12 @@ StatusOr<json::Value> MergeQueryBodies(std::vector<ShardBody> bodies,
               "shard %zu ranked answer is missing \"score\"",
               shard.shard_index));
         }
+        const json::Value* index = answer.Find("document_index");
+        if (index == nullptr || !index->is_integral() || index->AsInt() < 0) {
+          return Status::InvalidArgument(StrFormat(
+              "shard %zu answer is missing \"document_index\"",
+              shard.shard_index));
+        }
       }
     }
   }
@@ -124,38 +136,38 @@ StatusOr<json::Value> MergeQueryBodies(std::vector<ShardBody> bodies,
     // can only occur inside one body's already-ordered list (bodies cover
     // disjoint document ranges — a shard's probe and resume bodies share a
     // doc_base but split its documents), so the comparator never has to
-    // reconstruct canonical fragment order.
+    // reconstruct canonical fragment order. Answers move out of the bodies
+    // this function owns; only cursors with answers left stay in `cursors`,
+    // in body order, so the first of equal heads still wins.
     std::vector<RankedCursor> cursors;
-    for (const ShardBody& shard : bodies) {
-      cursors.push_back(RankedCursor{&shard, 0});
+    for (ShardBody& shard : bodies) {
+      RankedCursor cursor{shard.body.Find("answers"), shard.doc_base};
+      if (cursor.LoadHead()) cursors.push_back(cursor);
     }
-    while (answers.size() < emit_limit) {
-      RankedCursor* best = nullptr;
-      for (RankedCursor& cursor : cursors) {
-        if (cursor.next >= cursor.shard->body.Find("answers")->size()) {
-          continue;
-        }
-        if (best == nullptr || cursor.score() > best->score() ||
-            (cursor.score() == best->score() &&
-             cursor.global_doc() < best->global_doc())) {
-          best = &cursor;
+    while (answers.size() < emit_limit && !cursors.empty()) {
+      size_t best = 0;
+      for (size_t i = 1; i < cursors.size(); ++i) {
+        if (cursors[i].score > cursors[best].score ||
+            (cursors[i].score == cursors[best].score &&
+             cursors[i].global_doc < cursors[best].global_doc)) {
+          best = i;
         }
       }
-      if (best == nullptr) break;  // shard lists exhausted early
-      json::Value answer =
-          (*best->shard->body.Find("answers"))[best->next];
-      XFRAG_RETURN_NOT_OK(GlobalizeAnswer(&answer, best->shard->doc_base,
-                                          best->shard->shard_index));
+      RankedCursor& cursor = cursors[best];
+      json::Value& answer = (*cursor.answers)[cursor.next];
+      answer.Set("document_index", cursor.global_doc);
       answers.Append(std::move(answer));
-      ++best->next;
+      ++cursor.next;
+      if (!cursor.LoadHead()) cursors.erase(cursors.begin() + best);
     }
   } else {
     // Full mode: shard ranges are contiguous and bodies arrive sorted by
     // doc_base, so concatenation is global document order.
-    for (const ShardBody& shard : bodies) {
-      for (const json::Value& item : shard.body.Find("answers")->items()) {
-        if (answers.size() >= emit_limit) break;
-        json::Value answer = item;
+    for (ShardBody& shard : bodies) {
+      json::Value& shard_answers = *shard.body.Find("answers");
+      for (size_t i = 0;
+           i < shard_answers.size() && answers.size() < emit_limit; ++i) {
+        json::Value& answer = shard_answers[i];
         XFRAG_RETURN_NOT_OK(
             GlobalizeAnswer(&answer, shard.doc_base, shard.shard_index));
         answers.Append(std::move(answer));
@@ -194,11 +206,11 @@ StatusOr<json::Value> MergeQueryBodies(std::vector<ShardBody> bodies,
   body.Set("metrics", std::move(metrics));
   if (want_explain) {
     json::Value explains = json::Value::Array();
-    for (const ShardBody& shard : bodies) {
-      const json::Value* explain = shard.body.Find("explain");
+    for (ShardBody& shard : bodies) {
+      json::Value* explain = shard.body.Find("explain");
       if (explain == nullptr || !explain->is_array()) continue;
-      for (const json::Value& entry : explain->items()) {
-        explains.Append(entry);
+      for (size_t i = 0; i < explain->size(); ++i) {
+        explains.Append(std::move((*explain)[i]));
       }
     }
     body.Set("explain", std::move(explains));

@@ -1,5 +1,7 @@
 #include "router/router.h"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -54,6 +56,50 @@ json::Value MissingShardsJson(const std::vector<size_t>& missing) {
   return out;
 }
 
+/// Reads the fields the merge must know from one query object into `plan`,
+/// best-effort: a query the shards would reject keeps the defaults (their
+/// 4xx is forwarded anyway). An XQL "q" body carries TOP/RANK/LIMIT/DEADLINE
+/// inside the text, so the plan is lowered from it; the body itself is
+/// still forwarded untouched, and shards decode "q" themselves. Returns the
+/// query's own deadline in ms, or 0 when it sets none.
+int ReadMergePlan(const json::Value& query, MergePlan* plan) {
+  int deadline_ms = 0;
+  if (const json::Value* v = query.Find("top_k");
+      v != nullptr && v->is_integral() && v->AsInt() >= 0) {
+    plan->top_k = v->AsInt();
+  }
+  if (const json::Value* v = query.Find("rank");
+      v != nullptr && v->is_bool()) {
+    plan->rank = v->AsBool();
+  }
+  if (const json::Value* v = query.Find("max_answers");
+      v != nullptr && v->is_integral() && v->AsInt() >= 0) {
+    plan->max_answers = v->AsInt();
+  }
+  if (const json::Value* v = query.Find("deadline_ms");
+      v != nullptr && v->is_number() && v->AsDouble() > 0) {
+    deadline_ms = static_cast<int>(
+        std::clamp(std::ceil(v->AsDouble()), 1.0,
+                   static_cast<double>(std::numeric_limits<int>::max())));
+  }
+  if (const json::Value* v = query.Find("q");
+      v != nullptr && v->is_string()) {
+    auto lowered = lang::ParseAndLower(v->AsString(), nullptr);
+    if (lowered.ok()) {
+      if (lowered->top_k >= 0) plan->top_k = lowered->top_k;
+      if (lowered->rank || lowered->top_k >= 0) plan->rank = true;
+      if (lowered->limit >= 0) plan->max_answers = lowered->limit;
+      if (lowered->deadline_ms > 0) {
+        // Clamp in 64-bit first: DEADLINE accepts up to 15 digits, and a
+        // narrowing cast past INT_MAX would wrap to a bogus tiny budget.
+        deadline_ms = static_cast<int>(std::clamp<int64_t>(
+            lowered->deadline_ms, 1, std::numeric_limits<int>::max()));
+      }
+    }
+  }
+  return deadline_ms;
+}
+
 }  // namespace
 
 uint64_t Router::ShardState::P95Micros() const {
@@ -65,28 +111,6 @@ uint64_t Router::ShardState::LatencyCount() const {
   std::lock_guard<std::mutex> lock(mutex);
   return latency.count();
 }
-
-/// Shared between the gather coordinator and its attempt tasks. Each shard
-/// has a primary attempt and at most one hedge; the first attempt to come
-/// back with a parsed HTTP response resolves the shard and cancels its
-/// sibling. A shard with every attempt failed resolves as an error. The
-/// coordinator may stop waiting (deadline) while attempts still run —
-/// hence the shared_ptr lifetime.
-struct Router::GatherState {
-  struct PerShard {
-    int attempts_running = 0;
-    bool done = false;
-    ShardOutcome outcome;
-    std::shared_ptr<CallCancel> primary;
-    std::shared_ptr<CallCancel> hedge;
-    bool hedge_won = false;
-  };
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  size_t outstanding = 0;
-  std::vector<PerShard> shards;
-};
 
 Router::Router(ShardMap map, RouterOptions options)
     : map_(std::move(map)),
@@ -100,13 +124,6 @@ Router::Router(ShardMap map, RouterOptions options)
                                                     options_.backend);
     shards_.push_back(std::move(state));
   }
-  // Sized so every worker can have all its shard legs plus a hedge in
-  // flight without queuing behind another request's fan-out.
-  size_t fanout = static_cast<size_t>(std::max(1, options_.workers)) *
-                      (shards_.size() + 1) +
-                  1;
-  fanout_pool_ = std::make_unique<ThreadPool>(
-      static_cast<unsigned>(std::clamp<size_t>(fanout, 2, 128)));
 }
 
 Router::~Router() { Shutdown(); }
@@ -186,136 +203,159 @@ std::vector<Router::ShardOutcome> Router::ScatterGather(
     const std::string& forward_body, int shard_deadline_ms,
     const std::string& target) {
   const size_t n = shards_.size();
-  auto state = std::make_shared<GatherState>();
-  state->shards.resize(n);
-  state->outstanding = n;
-
-  auto launch = [this, state, shard_deadline_ms](
-                    size_t i, const std::string& request,
-                    std::shared_ptr<CallCancel> cancel, bool is_hedge) {
-    fanout_pool_->Post([this, state, i, request, cancel, is_hedge,
-                        shard_deadline_ms] {
-      Timer timer;
-      auto result = shards_[i]->client->Call(request, shard_deadline_ms,
-                                             cancel);
-      {
-        std::lock_guard<std::mutex> shard_lock(shards_[i]->mutex);
-        ++shards_[i]->requests;
-        if (result.ok()) {
-          shards_[i]->latency.Record(
-              static_cast<uint64_t>(timer.ElapsedMicros()));
-        } else {
-          ++shards_[i]->failures;
-        }
-      }
-      std::lock_guard<std::mutex> lock(state->mutex);
-      GatherState::PerShard& per = state->shards[i];
-      --per.attempts_running;
-      if (per.done) return;  // sibling already resolved the shard
-      if (result.ok()) {
-        per.done = true;
-        per.outcome.resolved = true;
-        per.outcome.http_status = result->status;
-        per.outcome.body = std::move(result->body);
-        per.hedge_won = is_hedge;
-        // The loser's socket is shut down, not closed: its attempt still
-        // owns the fd and fails out promptly instead of waiting for data.
-        if (is_hedge && per.primary != nullptr) per.primary->Cancel();
-        if (!is_hedge && per.hedge != nullptr) per.hedge->Cancel();
-        --state->outstanding;
-        state->cv.notify_all();
-      } else {
-        per.outcome.error = result.status();
-        if (per.attempts_running == 0) {
-          per.done = true;
-          --state->outstanding;
-          state->cv.notify_all();
-        }
-      }
-    });
-  };
-
   std::vector<std::string> requests;
   requests.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     requests.push_back(
         shards_[i]->client->BuildRequest("POST", target, forward_body));
   }
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    for (size_t i = 0; i < n; ++i) {
-      state->shards[i].primary = std::make_shared<CallCancel>();
-      state->shards[i].attempts_running = 1;
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    launch(i, requests[i], state->shards[i].primary, /*is_hedge=*/false);
-  }
 
+  // legs[i] is shard i's primary; legs[n], once launched, the hedge. A leg's
+  // call is reset when it retires; resetting an unfinished call closes its
+  // connection rather than pooling it.
+  struct Leg {
+    size_t shard;
+    bool is_hedge;
+    Clock::time_point start;
+    std::unique_ptr<PolledCall> call;
+  };
+  std::vector<Leg> legs;
+  legs.reserve(n + 1);
   const auto start = Clock::now();
+  for (size_t i = 0; i < n; ++i) {
+    legs.push_back(Leg{i, false, start,
+                       std::make_unique<PolledCall>(shards_[i]->client.get(),
+                                                    &requests[i])});
+  }
+  // Retiring a leg feeds its shard's counters: a response is a latency
+  // sample, anything else (a failure, a hedge loser, a leg cut at the
+  // deadline) is a failure.
+  auto retire = [this](Leg& leg, Clock::time_point now) {
+    ShardState& shard = *shards_[leg.shard];
+    {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      ++shard.requests;
+      if (leg.call->ok()) {
+        shard.latency.Record(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(now -
+                                                                  leg.start)
+                .count()));
+      } else {
+        ++shard.failures;
+      }
+    }
+    leg.call.reset();
+  };
+  auto live_sibling = [&](const Leg& leg) -> Leg* {
+    Leg* sibling = leg.is_hedge ? &legs[leg.shard]
+                   : legs.size() > n && legs[n].shard == leg.shard
+                       ? &legs[n]
+                       : nullptr;
+    return sibling != nullptr && sibling->call != nullptr ? sibling : nullptr;
+  };
+
+  std::vector<ShardOutcome> outcomes(n);
+  std::vector<bool> done(n, false);
+  size_t outstanding = n;
   // 64-bit sum: shard_deadline_ms can legitimately be INT_MAX (clamped from
   // an oversized client deadline), and + grace must not wrap into the past.
+  const int budget_ms =
+      std::min(shard_deadline_ms, options_.backend.io_timeout_ms);
   const auto deadline_tp =
-      start + std::chrono::milliseconds(
-                  static_cast<int64_t>(shard_deadline_ms) +
-                  options_.deadline_grace_ms);
+      start + std::chrono::milliseconds(static_cast<int64_t>(budget_ms) +
+                                        options_.deadline_grace_ms);
   const auto hedge_tp =
       start + std::chrono::milliseconds(HedgeDelayMs(shard_deadline_ms));
   bool hedged = !options_.enable_hedging || n == 0;
+  std::vector<pollfd> pollfds;
 
-  std::unique_lock<std::mutex> lock(state->mutex);
-  while (state->outstanding > 0) {
-    auto wake = hedged ? deadline_tp : std::min(deadline_tp, hedge_tp);
-    state->cv.wait_until(lock, wake,
-                         [&] { return state->outstanding == 0; });
-    if (state->outstanding == 0) break;
-    auto now = Clock::now();
-    if (!hedged && now >= hedge_tp) {
-      hedged = true;
-      // One hedge per request, aimed at the slowest straggler: of the
-      // shards still outstanding, the one with the worst observed p95.
-      size_t straggler = n;
-      uint64_t worst_p95 = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (state->shards[i].done) continue;
-        uint64_t p95 = shards_[i]->P95Micros();
-        if (straggler == n || p95 > worst_p95) {
-          straggler = i;
-          worst_p95 = p95;
-        }
+  while (true) {
+    const auto now = Clock::now();
+    // Settle finished legs. The first response resolves its shard and
+    // retires the sibling; a failure resolves it only when no sibling runs.
+    for (Leg& leg : legs) {
+      if (leg.call == nullptr) continue;
+      leg.call->DialExpired(now);
+      if (!leg.call->finished()) continue;
+      ShardOutcome& outcome = outcomes[leg.shard];
+      Leg* sibling = live_sibling(leg);
+      if (leg.call->ok()) {
+        BackendResponse& response = leg.call->response();
+        outcome.resolved = true;
+        outcome.http_status = response.status;
+        outcome.body = std::move(response.body);
+        if (leg.is_hedge) hedges_won_.fetch_add(1, std::memory_order_relaxed);
+        if (sibling != nullptr) retire(*sibling, now);
+      } else {
+        outcome.error = leg.call->error();
       }
-      if (straggler < n) {
-        GatherState::PerShard& per = state->shards[straggler];
-        per.hedge = std::make_shared<CallCancel>();
-        ++per.attempts_running;
-        hedges_launched_.fetch_add(1, std::memory_order_relaxed);
-        launch(straggler, requests[straggler], per.hedge, /*is_hedge=*/true);
+      if (outcome.resolved || sibling == nullptr) {
+        done[leg.shard] = true;
+        --outstanding;
       }
-      continue;
+      retire(leg, now);
     }
-    if (now >= deadline_tp) break;
+    if (outstanding == 0 || now >= deadline_tp) break;
+
+    auto wake = deadline_tp;
+    if (!hedged) {
+      if (now >= hedge_tp) {
+        hedged = true;
+        // One hedge per request, aimed at the slowest straggler: of the
+        // shards still outstanding, the one with the worst observed p95.
+        size_t straggler = n;
+        uint64_t worst_p95 = 0;
+        for (size_t i = 0; i < n; ++i) {
+          if (done[i]) continue;
+          uint64_t p95 = shards_[i]->P95Micros();
+          if (straggler == n || p95 > worst_p95) {
+            straggler = i;
+            worst_p95 = p95;
+          }
+        }
+        hedges_launched_.fetch_add(1, std::memory_order_relaxed);
+        legs.push_back(Leg{straggler, true, now,
+                           std::make_unique<PolledCall>(
+                               shards_[straggler]->client.get(),
+                               &requests[straggler])});
+        continue;  // the hedge may already have failed; settle it first
+      }
+      wake = std::min(wake, hedge_tp);
+    }
+    // One pollfd per leg, index for index; poll() skips the negative fd of
+    // a retired leg.
+    pollfds.clear();
+    for (const Leg& leg : legs) {
+      if (leg.call == nullptr) {
+        pollfds.push_back(pollfd{-1, 0, 0});
+        continue;
+      }
+      wake = std::min(wake, leg.call->dial_deadline());
+      pollfds.push_back(pollfd{leg.call->fd(), leg.call->events(), 0});
+    }
+    // Rounded up and at least 1 ms: the loop never polls with a zero
+    // timeout, and wakes at or after the next deadline, never before.
+    const auto wait_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(wake - now)
+            .count();
+    const int timeout_ms = static_cast<int>(std::clamp<int64_t>(
+        (wait_us + 999) / 1000, 1, std::numeric_limits<int>::max()));
+    if (::poll(pollfds.data(), pollfds.size(), timeout_ms) <= 0) continue;
+    for (size_t l = 0; l < legs.size(); ++l) {
+      if (legs[l].call != nullptr) legs[l].call->Advance(pollfds[l].revents);
+    }
   }
 
-  // Harvest under the lock: stragglers are resolved as deadline-missing and
-  // their attempts canceled; any late completion sees done and discards.
-  std::vector<ShardOutcome> outcomes(n);
+  // Shards still outstanding missed the deadline; their legs close.
+  const auto now = Clock::now();
+  for (Leg& leg : legs) {
+    if (leg.call != nullptr) retire(leg, now);
+  }
   for (size_t i = 0; i < n; ++i) {
-    GatherState::PerShard& per = state->shards[i];
-    if (!per.done) {
-      if (per.primary != nullptr) per.primary->Cancel();
-      if (per.hedge != nullptr) per.hedge->Cancel();
-      if (per.outcome.error.ok()) {
-        per.outcome.error = Status::DeadlineExceeded(StrFormat(
-            "shard %s did not answer within %d ms",
-            shards_[i]->info.Endpoint().c_str(), shard_deadline_ms));
-      }
-      per.done = true;
-      --state->outstanding;
-    }
-    if (per.outcome.resolved && per.hedge_won) {
-      hedges_won_.fetch_add(1, std::memory_order_relaxed);
-    }
-    outcomes[i] = per.outcome;
+    if (done[i] || !outcomes[i].error.ok()) continue;
+    outcomes[i].error = Status::DeadlineExceeded(StrFormat(
+        "shard %s did not answer within %d ms",
+        shards_[i]->info.Endpoint().c_str(), shard_deadline_ms));
   }
   return outcomes;
 }
@@ -348,45 +388,8 @@ std::string Router::HandleQuery(const std::string& request_body,
       require_complete = rc->AsBool();
       root->Remove("require_complete");
     }
-    // Best-effort extraction of the fields the merge needs; requests the
-    // shards would reject keep the defaults (the 4xx is forwarded anyway).
-    if (const json::Value* v = root->Find("top_k");
-        v != nullptr && v->is_integral() && v->AsInt() >= 0) {
-      plan.top_k = v->AsInt();
-    }
-    if (const json::Value* v = root->Find("rank");
-        v != nullptr && v->is_bool()) {
-      plan.rank = v->AsBool();
-    }
-    if (const json::Value* v = root->Find("max_answers");
-        v != nullptr && v->is_integral() && v->AsInt() >= 0) {
-      plan.max_answers = v->AsInt();
-    }
-    if (const json::Value* v = root->Find("deadline_ms");
-        v != nullptr && v->is_number() && v->AsDouble() > 0) {
-      shard_deadline_ms = static_cast<int>(
-          std::clamp(std::ceil(v->AsDouble()), 1.0,
-                     static_cast<double>(std::numeric_limits<int>::max())));
-    }
-    // An XQL "q" body carries TOP/RANK/LIMIT/DEADLINE inside the text, so
-    // the merge plan is lowered from it best-effort. The body is still
-    // forwarded untouched — shards decode "q" themselves — and an
-    // unparseable text just keeps the defaults (the shard's structured 400
-    // is what the client sees).
-    if (const json::Value* v = root->Find("q");
-        v != nullptr && v->is_string()) {
-      auto lowered = lang::ParseAndLower(v->AsString(), nullptr);
-      if (lowered.ok()) {
-        if (lowered->top_k >= 0) plan.top_k = lowered->top_k;
-        if (lowered->rank || lowered->top_k >= 0) plan.rank = true;
-        if (lowered->limit >= 0) plan.max_answers = lowered->limit;
-        if (lowered->deadline_ms > 0) {
-          // Clamp in 64-bit first: DEADLINE accepts up to 15 digits, and a
-          // narrowing cast past INT_MAX would wrap to a bogus tiny budget.
-          shard_deadline_ms = static_cast<int>(std::clamp<int64_t>(
-              lowered->deadline_ms, 1, std::numeric_limits<int>::max()));
-        }
-      }
+    if (int deadline_ms = ReadMergePlan(*root, &plan); deadline_ms > 0) {
+      shard_deadline_ms = deadline_ms;
     }
   }
 
@@ -420,29 +423,36 @@ std::string Router::HandleQuery(const std::string& request_body,
     }
   }
 
+  return MergeOrRefuse(std::move(bodies), missing, plan, require_complete,
+                       timer, status_out)
+      .Dump();
+}
+
+json::Value Router::MergeOrRefuse(std::vector<ShardBody> bodies,
+                                  const std::vector<size_t>& missing,
+                                  const MergePlan& plan, bool require_complete,
+                                  const Timer& timer, int* status_out) {
   if (bodies.empty() || (require_complete && !missing.empty())) {
     json::Value body = ErrorJson(Status::DeadlineExceeded(
         bodies.empty() ? "no shard answered"
                        : "incomplete result refused (require_complete)"));
     body.Set("missing_shards", MissingShardsJson(missing));
     *status_out = 504;
-    return body.Dump();
+    return body;
   }
-
   auto merged = MergeQueryBodies(std::move(bodies), plan,
                                  map_.total_documents, missing);
   if (!merged.ok()) {
     *status_out = 502;
-    return ErrorJson(Status::Internal("merge failed: " +
-                                      merged.status().message()))
-        .Dump();
+    return ErrorJson(
+        Status::Internal("merge failed: " + merged.status().message()));
   }
   if (!missing.empty()) {
     partials_served_.fetch_add(1, std::memory_order_relaxed);
   }
   merged->Set("elapsed_ms", timer.ElapsedMillis());
   *status_out = 200;
-  return merged->Dump();
+  return std::move(*merged);
 }
 
 std::string Router::HandleQueryBatch(const std::string& request_body,
@@ -547,49 +557,10 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
           "batch envelope, not on an item"));
       continue;
     }
-    // Best-effort extraction of the per-item merge plan; items the shards
-    // would reject keep the defaults (their per-item 4xx is forwarded).
-    if (const json::Value* v = q.Find("top_k");
-        v != nullptr && v->is_integral() && v->AsInt() >= 0) {
-      item.plan.top_k = v->AsInt();
-    }
-    if (const json::Value* v = q.Find("rank");
-        v != nullptr && v->is_bool()) {
-      item.plan.rank = v->AsBool();
-    }
-    if (const json::Value* v = q.Find("max_answers");
-        v != nullptr && v->is_integral() && v->AsInt() >= 0) {
-      item.plan.max_answers = v->AsInt();
-    }
     // One deadline budget per shard per batch: wide enough for the most
     // patient item.
-    if (const json::Value* v = q.Find("deadline_ms");
-        v != nullptr && v->is_number() && v->AsDouble() > 0) {
-      shard_deadline_ms = std::max(
-          shard_deadline_ms,
-          static_cast<int>(std::clamp(
-              std::ceil(v->AsDouble()), 1.0,
-              static_cast<double>(std::numeric_limits<int>::max()))));
-    }
-    // XQL items carry TOP/RANK/LIMIT/DEADLINE in the text; lower it
-    // best-effort for the merge plan and forward the item untouched.
-    if (const json::Value* v = q.Find("q");
-        v != nullptr && v->is_string()) {
-      auto lowered = lang::ParseAndLower(v->AsString(), nullptr);
-      if (lowered.ok()) {
-        if (lowered->top_k >= 0) item.plan.top_k = lowered->top_k;
-        if (lowered->rank || lowered->top_k >= 0) item.plan.rank = true;
-        if (lowered->limit >= 0) item.plan.max_answers = lowered->limit;
-        if (lowered->deadline_ms > 0) {
-          // Clamp in 64-bit first (see HandleQuery): a narrowing cast past
-          // INT_MAX wraps negative and the max() would silently discard it.
-          shard_deadline_ms = std::max(
-              shard_deadline_ms,
-              static_cast<int>(std::clamp<int64_t>(
-                  lowered->deadline_ms, 1, std::numeric_limits<int>::max())));
-        }
-      }
-    }
+    shard_deadline_ms =
+        std::max(shard_deadline_ms, ReadMergePlan(q, &item.plan));
     item.forwarded = true;
     item.forward_position = forwarded_count++;
     forward.Append(q);
@@ -661,12 +632,11 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
         missing.push_back(s);
         continue;
       }
-      const json::Value& result =
-          (*shard_batches[s].parsed.Find("results"))[p];
+      // Item p's result is read only here, so its body moves out.
+      json::Value& result = (*shard_batches[s].parsed.Find("results"))[p];
       const json::Value* status =
           result.is_object() ? result.Find("status") : nullptr;
-      const json::Value* body =
-          result.is_object() ? result.Find("body") : nullptr;
+      json::Value* body = result.is_object() ? result.Find("body") : nullptr;
       if (status == nullptr || !status->is_integral() || body == nullptr) {
         missing.push_back(s);
         continue;
@@ -674,12 +644,12 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
       const int64_t code = status->AsInt();
       if (code == 200 && body->is_object()) {
         bodies.push_back(
-            ShardBody{s, shards_[s]->info.doc_begin, *body});
+            ShardBody{s, shards_[s]->info.doc_begin, std::move(*body)});
       } else if (code >= 400 && code < 500) {
         // Per-item validation errors are deterministic across shards too.
         if (item_4xx_status == 0) {
           item_4xx_status = static_cast<int>(code);
-          item_4xx_body = *body;
+          item_4xx_body = std::move(*body);
         }
       } else {
         // Per-item 504/5xx (e.g. an expired item deadline on that shard).
@@ -691,29 +661,8 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
       item.body = std::move(item_4xx_body);
       continue;
     }
-    if (bodies.empty() || (require_complete && !missing.empty())) {
-      json::Value err = ErrorJson(Status::DeadlineExceeded(
-          bodies.empty() ? "no shard answered"
-                         : "incomplete result refused (require_complete)"));
-      err.Set("missing_shards", MissingShardsJson(missing));
-      item.status = 504;
-      item.body = std::move(err);
-      continue;
-    }
-    auto merged = MergeQueryBodies(std::move(bodies), item.plan,
-                                   map_.total_documents, missing);
-    if (!merged.ok()) {
-      item.status = 502;
-      item.body = ErrorJson(
-          Status::Internal("merge failed: " + merged.status().message()));
-      continue;
-    }
-    if (!missing.empty()) {
-      partials_served_.fetch_add(1, std::memory_order_relaxed);
-    }
-    merged->Set("elapsed_ms", timer.ElapsedMillis());
-    item.status = 200;
-    item.body = std::move(*merged);
+    item.body = MergeOrRefuse(std::move(bodies), missing, item.plan,
+                              require_complete, timer, &item.status);
   }
   return render();
 }

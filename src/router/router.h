@@ -12,11 +12,19 @@
 // pruning stays shard-local (the engine's WarmupTopKFloor and xfragd's
 // cross-document floor), with no bounds exchanged between shards.
 //
+// The scatter runs on the HTTP worker that took the request, with no thread
+// per leg: the worker writes every leg on its shard's pooled keep-alive
+// connection (a missing one is dialed without blocking), then waits in one
+// poll() over the legs' sockets until the responses are in, the hedge time
+// comes, or the deadline passes. The router's thread count is therefore the
+// same for one shard or many.
+//
 // Tail-latency control: after a p95-derived delay with stragglers still
 // outstanding, the router launches at most ONE hedge — a duplicate request
-// to the slowest straggler on a fresh exchange — and the first response
-// wins; the loser is canceled via socket shutdown. Hedging is bounded (one
-// per request) so a busy cluster sees at most 1/N extra load.
+// to the slowest straggler, one more socket in the same poll set — and the
+// first complete response wins; the loser's connection is closed, not
+// pooled. Hedging is bounded (one per request) so a busy cluster sees at
+// most 1/N extra load.
 //
 // Degraded mode: a shard that times out, refuses connections, or answers
 // 5xx becomes a "missing shard". By default the router still answers 200
@@ -42,8 +50,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "common/timer.h"
 #include "router/backend_client.h"
+#include "router/merge.h"
 #include "router/shard_map.h"
 #include "server/http_server.h"
 #include "server/latency_histogram.h"
@@ -53,8 +62,10 @@ namespace xfrag::router {
 struct RouterOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// Concurrent client requests the router serves (each occupies one worker
-  /// for the whole scatter-gather).
+  /// Concurrent client requests the router serves. Each occupies one worker
+  /// for its whole scatter-gather, which the worker drives itself (one
+  /// poll() over the shard legs), so this is also the router's whole
+  /// scatter concurrency.
   int workers = 8;
   int queue_capacity = 64;
   int request_timeout_ms = 10000;
@@ -151,11 +162,6 @@ class Router : private server::HttpDispatcher {
     Status error = Status::OK();
   };
 
-  /// Shared between the coordinator and its in-flight attempt tasks; held
-  /// by shared_ptr so the coordinator may return (deadline) while straggler
-  /// attempts are still finishing in the fan-out pool.
-  struct GatherState;
-
   std::string Dispatch(const server::HttpRequest& request, bool keep_alive,
                        int* status_out, algebra::OpMetrics* metrics_out,
                        bool* has_metrics_out) override;
@@ -174,8 +180,19 @@ class Router : private server::HttpDispatcher {
   std::string HandleQueryBatch(const std::string& request_body,
                                int* status_out);
 
+  /// Merges one query's shard bodies into the client's answer: 504 when no
+  /// shard answered or require_complete refuses a partial result, 502 when
+  /// a body does not merge, else 200 ("partial" lists missing shards) with
+  /// "elapsed_ms" stamped from `timer`. `*status_out` gets the status.
+  json::Value MergeOrRefuse(std::vector<ShardBody> bodies,
+                            const std::vector<size_t>& missing,
+                            const MergePlan& plan, bool require_complete,
+                            const Timer& timer, int* status_out);
+
   /// Sends `forward_body` to every shard's `target` endpoint ("/query",
-  /// "/query_batch") and gathers one outcome per shard.
+  /// "/query_batch") and gathers one outcome per shard, all on the calling
+  /// thread: one poll() loop over the legs and the hedge (see the file
+  /// comment).
   std::vector<ShardOutcome> ScatterGather(const std::string& forward_body,
                                           int shard_deadline_ms,
                                           const std::string& target);
@@ -187,7 +204,6 @@ class Router : private server::HttpDispatcher {
   ShardMap map_;
   RouterOptions options_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  std::unique_ptr<ThreadPool> fanout_pool_;
 
   std::atomic<uint64_t> hedges_launched_{0};
   std::atomic<uint64_t> hedges_won_{0};

@@ -112,6 +112,36 @@ StatusOr<UniqueFd> ConnectTcpTimeout(const std::string& host, uint16_t port,
   return fd;
 }
 
+StatusOr<UniqueFd> StartConnectTcp(const std::string& host, uint16_t port) {
+  XFRAG_ASSIGN_OR_RETURN(sockaddr_in addr, MakeAddr(host, port));
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  if (!fd.valid()) return Errno("socket");
+  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0 &&
+      errno != EINPROGRESS) {
+    return Status::NotFound(StrFormat("connect %s:%u: %s", host.c_str(),
+                                      unsigned{port}, std::strerror(errno)));
+  }
+  return fd;
+}
+
+Status FinishConnectTcp(int fd, const std::string& host, uint16_t port) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    return Errno("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    return Status::NotFound(StrFormat("connect %s:%u: %s", host.c_str(),
+                                      unsigned{port}, std::strerror(err)));
+  }
+  int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) != 0) {
+    return Errno("fcntl");
+  }
+  return Status::OK();
+}
+
 Status SetSocketTimeouts(int fd, int timeout_ms) {
   timeval tv{};
   tv.tv_sec = timeout_ms / 1000;

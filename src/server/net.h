@@ -67,6 +67,17 @@ StatusOr<UniqueFd> ConnectTcp(const std::string& host, uint16_t port);
 StatusOr<UniqueFd> ConnectTcpTimeout(const std::string& host, uint16_t port,
                                      int timeout_ms);
 
+/// \brief Starts a connect to `host:port` without waiting for it: the socket
+/// is returned non-blocking with the connect in progress (or already done).
+/// Poll it for POLLOUT, then call FinishConnectTcp. A peer refused at once
+/// reports NotFound.
+StatusOr<UniqueFd> StartConnectTcp(const std::string& host, uint16_t port);
+
+/// \brief Completes a StartConnectTcp socket once poll reports it writable:
+/// returns the connect's outcome (NotFound on failure) and puts the socket
+/// back in blocking mode.
+Status FinishConnectTcp(int fd, const std::string& host, uint16_t port);
+
 /// \brief Sets SO_RCVTIMEO / SO_SNDTIMEO (bounds every recv/send).
 Status SetSocketTimeouts(int fd, int timeout_ms);
 

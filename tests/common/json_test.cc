@@ -1,12 +1,17 @@
 // common/json: writer round-trips, strict-parser acceptance/rejection with
-// error offsets, and a malformed-input corpus that must never crash.
+// error offsets, a malformed-input corpus that must never crash, seeded
+// random trees, golden shard bodies that must re-dump byte for byte, and the
+// value semantics (copies, moves, duplicate keys) of the compact layout.
 
 #include "common/json.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace xfrag::json {
 namespace {
@@ -172,6 +177,186 @@ TEST(JsonValue, Equality) {
   EXPECT_NE(Value(1), Value("1"));
   EXPECT_EQ(*Parse("{\"a\":[1,2]}"), *Parse("{\"a\":[1,2]}"));
   EXPECT_NE(*Parse("{\"a\":[1,2]}"), *Parse("{\"a\":[2,1]}"));
+}
+
+/// A seeded random tree: every kind, integers at the int64/uint64 edges,
+/// shortest-round-trip doubles, strings with escapes and multi-byte UTF-8.
+Value RandomTree(Rng* rng, int depth) {
+  const uint64_t kind = rng->Uniform(depth <= 0 ? 6 : 8);
+  switch (kind) {
+    case 0:
+      return Value();
+    case 1:
+      return Value(rng->Chance(0.5));
+    case 2: {
+      static const int64_t edges[] = {0, -1, 42, INT64_MAX, INT64_MIN};
+      return rng->Chance(0.3) ? Value(edges[rng->Uniform(5)])
+                              : Value(static_cast<int64_t>(rng->Next()));
+    }
+    case 3:
+      return rng->Chance(0.5) ? Value(uint64_t{18446744073709551615ULL})
+                              : Value(rng->Next());
+    case 4:
+      return Value((rng->UniformDouble() - 0.5) *
+                   static_cast<double>(uint64_t{1} << rng->Uniform(60)));
+    case 5: {
+      static const char* pieces[] = {"a", "node", "\"", "\\", "\n", "\t",
+                                     "\x01", "\xC3\xA9", "\xF0\x9F\x98\x80",
+                                     "/", " ", "<par>"};
+      std::string s;
+      for (uint64_t i = rng->Uniform(6); i > 0; --i) {
+        s += pieces[rng->Uniform(12)];
+      }
+      return Value(std::move(s));
+    }
+    case 6: {
+      Value array = Value::Array();
+      for (uint64_t i = rng->Uniform(5); i > 0; --i) {
+        array.Append(RandomTree(rng, depth - 1));
+      }
+      return array;
+    }
+    default: {
+      Value object = Value::Object();
+      for (uint64_t i = rng->Uniform(5); i > 0; --i) {
+        object.Set("k" + std::to_string(rng->Uniform(8)),
+                   RandomTree(rng, depth - 1));
+      }
+      return object;
+    }
+  }
+}
+
+TEST(JsonProperty, RandomTreesRoundTripThroughDump) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const Value tree = RandomTree(&rng, 5);
+    for (int indent : {-1, 2}) {
+      const std::string text = tree.Dump(indent);
+      auto parsed = Parse(text);
+      ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": " << text;
+      EXPECT_EQ(*parsed, tree) << "seed " << seed << ": " << text;
+    }
+  }
+}
+
+TEST(JsonGolden, ShardBodiesRedumpByteForByte) {
+  // Bodies as xfragd renders them: a ranked top-k body with
+  // shortest-round-trip scores, a full-mode body, and a full-mode answer
+  // with a 23-element "nodes" array and escaped XML text.
+  const std::vector<std::string> golden = {
+      R"({"query":"Q_{true}{xquery, optimization}","ranked":true,"top_k":3,)"
+      R"("documents":1,"documents_evaluated":1,"documents_skipped":0,)"
+      R"("answer_count":3,"answers":[{"document":"cli_smoke.xml",)"
+      R"("document_index":0,"root":0,"root_tag":"article","size":6,)"
+      R"("nodes":[0,1,3,4,5,6],"score":2.042258345535213},)"
+      R"({"document":"cli_smoke.xml","document_index":0,"root":1,)"
+      R"("root_tag":"section","size":3,"nodes":[1,3,4],)"
+      R"("score":1.890895047923269},{"document":"cli_smoke.xml",)"
+      R"("document_index":0,"root":3,"root_tag":"par","size":1,"nodes":[3],)"
+      R"("score":1.7766646798878483}],"metrics":{"fragment_joins":11,)"
+      R"("filter_evals":5,"filter_rejections":0,"fixed_point_iterations":0,)"
+      R"("fragments_produced":11,"pairs_considered":0,)"
+      R"("pairs_rejected_summary":0,"pairs_rejected_score":0,)"
+      R"("subsume_checks_skipped":0,"classes_total":0,)"
+      R"("class_pairs_considered":0,"answers_multiplied_out":0},)"
+      R"("elapsed_ms":0.229661})",
+      R"({"query":"Q_{size<=3}{query}","documents":1,"documents_evaluated":1,)"
+      R"("documents_skipped":0,"answer_count":1,"answers":[{"document":)"
+      R"("cli_smoke.xml","document_index":0,"root":2,"root_tag":"title",)"
+      R"("size":1,"nodes":[2]}],"metrics":{"fragment_joins":1,)"
+      R"("filter_evals":4,"filter_rejections":0,"fixed_point_iterations":1,)"
+      R"("fragments_produced":1,"pairs_considered":1,)"
+      R"("pairs_rejected_summary":0,"pairs_rejected_score":0,)"
+      R"("subsume_checks_skipped":0,"classes_total":0,)"
+      R"("class_pairs_considered":0,"answers_multiplied_out":0},)"
+      R"("elapsed_ms":0.124451})",
+      R"({"document":"deep.xml","document_index":0,"root":0,"root_tag":"doc",)"
+      R"("size":23,"nodes":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,)"
+      R"(19,20,21,22],"xml":"<doc>\n  <a1>\n    <a2>alpha</a2>\n  </a1>\n)"
+      R"(  <c>alpha \"beta\" tab\tend</c>\n</doc>\n",)"
+      R"("score":2.431879452191904})",
+  };
+  for (const std::string& text : golden) {
+    auto parsed = Parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->Dump(), text);
+  }
+  const Value answer = *Parse(golden[2]);
+  ASSERT_EQ(answer.Find("nodes")->size(), 23u);
+  EXPECT_EQ((*answer.Find("nodes"))[22].AsInt(), 22);
+  EXPECT_TRUE((*answer.Find("nodes"))[22].is_integral());
+}
+
+TEST(JsonValue, CopiesAreIndependent) {
+  Value original = *Parse(R"({"a":[1,{"b":"c"}],"s":"text"})");
+  const std::string before = original.Dump();
+  Value copy = original;
+  copy.Set("s", "changed");
+  copy.Set("new", Value::Array().Append(7));
+  EXPECT_EQ(original.Dump(), before);
+  EXPECT_EQ(copy.Dump(), R"({"a":[1,{"b":"c"}],"s":"changed","new":[7]})");
+
+  Value assigned;
+  assigned = original;
+  assigned.Remove("a");
+  EXPECT_EQ(original.Dump(), before);
+  EXPECT_EQ(assigned.Dump(), R"({"s":"text"})");
+
+  // Copy-assigning a value from inside the target's own tree.
+  Value nested = *Parse(R"([[1,2],3])");
+  nested = nested.items()[0];
+  EXPECT_EQ(nested.Dump(), "[1,2]");
+}
+
+TEST(JsonValue, MovedFromValueIsValid) {
+  Value object = *Parse(R"({"a":[1,2],"s":"a string beyond the small size"})");
+  Value taken = std::move(object);
+  EXPECT_EQ(taken.Dump(), R"({"a":[1,2],"s":"a string beyond the small size"})");
+  // The moved-from value can be inspected, reused and destroyed.
+  (void)object.Dump();
+  EXPECT_EQ(object.Find("a"), nullptr);
+  object = Value(5);
+  EXPECT_EQ(object.Dump(), "5");
+
+  Value text("a string beyond the small-string size");
+  Value moved;
+  moved = std::move(text);
+  EXPECT_EQ(moved.AsString(), "a string beyond the small-string size");
+  text = Value::Array().Append(1);
+  EXPECT_EQ(text.Dump(), "[1]");
+
+  // Move-assigning a value out of the target's own tree.
+  Value nested = *Parse(R"([[1,2],3])");
+  nested = std::move(nested[0]);
+  EXPECT_EQ(nested.Dump(), "[1,2]");
+}
+
+TEST(JsonParse, DuplicateKeyOverwritesInPlace) {
+  auto v = Parse(R"({"a":1,"b":2,"a":{"x":[3]},"c":4,"b":"two"})");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->Dump(), R"({"a":{"x":[3]},"b":"two","c":4})");
+  EXPECT_EQ(v->size(), 3u);
+}
+
+TEST(JsonParse, DepthLimitBoundaryIsExact) {
+  // The root sits at depth 0 and each container opens the next level;
+  // a value deeper than kMaxParseDepth is rejected.
+  auto nested_arrays = [](int levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  EXPECT_TRUE(Parse(nested_arrays(kMaxParseDepth + 1)).ok());
+  EXPECT_FALSE(Parse(nested_arrays(kMaxParseDepth + 2)).ok());
+  auto nested_objects = [](int levels) {
+    std::string text;
+    for (int i = 0; i < levels; ++i) text += R"({"k":)";
+    text += "1";
+    return text + std::string(levels, '}');
+  };
+  EXPECT_TRUE(Parse(nested_objects(kMaxParseDepth)).ok());
+  size_t offset = 0;
+  EXPECT_FALSE(Parse(nested_objects(kMaxParseDepth + 1), &offset).ok());
+  EXPECT_EQ(offset, static_cast<size_t>(5 * (kMaxParseDepth + 1)));
 }
 
 }  // namespace
