@@ -31,6 +31,9 @@
 # The `server` and `router` labels run under ASan as well: the HTTP parser,
 # JSON, admission, the router's poll-driven scatter (raw fds and read
 # buffers) and its merge all read bytes that come off a socket.
+# A UBSan build runs the algebra and query suites and the `parallel` label,
+# where index and arena arithmetic (FragmentSet's probe table included)
+# would overflow or shift out of range.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -100,6 +103,22 @@ cmake --build build-asan -j "$JOBS" --target server_test router_test \
 echo "== asan: run server + router =="
 (cd build-asan && ctest -L server --output-on-failure -j "$JOBS")
 (cd build-asan && ctest -L router --output-on-failure -j "$JOBS")
+
+echo "== ubsan: build algebra + query + parallel suites =="
+# UBSan over the kernels and the containers they share: FragmentSet's flat
+# open-addressing index (masked probes over uint32 member slots), the join
+# arenas and the top-k heaps. halt_on_error turns the first report into a
+# failing exit instead of a log line.
+cmake -B build-ubsan -S . -DXFRAG_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j "$JOBS" --target algebra_test query_test \
+  parallel_test
+
+echo "== ubsan: run =="
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+./build-ubsan/tests/algebra_test
+./build-ubsan/tests/query_test
+(cd build-ubsan && ctest -L parallel --output-on-failure -j "$JOBS")
+unset UBSAN_OPTIONS
 
 echo "== tsan: build server + router + parallel suites =="
 cmake -B build-tsan -S . -DXFRAG_SANITIZE=thread >/dev/null

@@ -593,18 +593,17 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
   }
 }
 
-FragmentSet Select(const FragmentSet& set, const FilterPtr& filter,
+FragmentSet Select(FragmentSet set, const FilterPtr& filter,
                    const FilterContext& context, OpMetrics* metrics,
                    const doc::SubtreeClassIndex* dag) {
-  FragmentSet out;
   if (DagUsable(dag, filter) && context.document != nullptr) {
     // Class-aware selection: Matches is evaluated once per local form; the
     // verdict is replayed (with exact filter_evals/filter_rejections deltas)
-    // for every other fragment of the form. The member fragment itself is
-    // inserted — selection never materializes new nodes, so no translation.
+    // for every other fragment of the form. Selection never materializes
+    // new nodes, so members are kept as they are — no translation.
     DagFormTable forms(*context.document, *dag);
     std::unordered_map<uint32_t, bool> verdicts;
-    for (const Fragment& f : set) {
+    set.RetainIf([&](const Fragment& f) {
       NodeId anchor = doc::kNoNode;
       uint32_t form = forms.Intern(f, &anchor);
       if (form != kNoLocalForm) {
@@ -615,21 +614,20 @@ FragmentSet Select(const FragmentSet& set, const FilterPtr& filter,
             ++metrics->filter_evals;
             if (!it->second) ++metrics->filter_rejections;
           }
-          if (it->second) out.Insert(f);
-          continue;
+          return it->second;
         }
       }
       bool ok = PassesFilter(f, filter, context, metrics);
       if (form != kNoLocalForm) verdicts.emplace(form, ok);
-      if (ok) out.Insert(f);
-    }
+      return ok;
+    });
     if (metrics != nullptr) metrics->classes_total += forms.size();
-    return out;
+    return set;
   }
-  for (const Fragment& f : set) {
-    if (PassesFilter(f, filter, context, metrics)) out.Insert(f);
-  }
-  return out;
+  set.RetainIf([&](const Fragment& f) {
+    return PassesFilter(f, filter, context, metrics);
+  });
+  return set;
 }
 
 StatusOr<FragmentSet> PowersetJoinBruteForce(
@@ -758,7 +756,7 @@ FragmentSet FixedPointNaive(const Document& document, const FragmentSet& set,
     FragmentSet joined = PairwiseJoin(document, current, set, metrics);
     // Fixed-point check: has anything new appeared?
     size_t before = current.size();
-    current = current.Union(joined);
+    current = std::move(current).Union(joined);
     if (current.size() == before) break;
   }
   return current;
@@ -799,7 +797,7 @@ FragmentSet FixedPointFiltered(const Document& document, const FragmentSet& set,
         document, current, base, filter, context, metrics,
         dag_state.has_value() ? &*dag_state : nullptr);
     size_t before = current.size();
-    current = current.Union(joined);
+    current = std::move(current).Union(joined);
     if (current.size() == before) break;
   }
   if (dag_state.has_value() && metrics != nullptr) {

@@ -226,7 +226,11 @@ FragmentSet PairwiseJoinFiltered(const Document& document,
                                  const doc::SubtreeClassIndex* dag = nullptr);
 
 /// \brief Definition 3: members of `set` satisfying `filter`.
-FragmentSet Select(const FragmentSet& set, const FilterPtr& filter,
+///
+/// Filters its operand in place (FragmentSet::RetainIf): pass an owned set
+/// with std::move and no member is copied; an lvalue argument is copied
+/// first, so a shared operand is never mutated.
+FragmentSet Select(FragmentSet set, const FilterPtr& filter,
                    const FilterContext& context, OpMetrics* metrics = nullptr,
                    const doc::SubtreeClassIndex* dag = nullptr);
 

@@ -110,8 +110,9 @@ StatusOr<CollectionResult> CollectionEngine::Evaluate(
     ++result.documents_evaluated;
     if (replayed) ++result.documents_deduplicated;
     result.metrics.Merge(outcome.metrics);
-    for (const algebra::Fragment& fragment : outcome.answers.Sorted()) {
-      result.answers.emplace_back(i, collection_.entry(i).name, fragment);
+    for (uint32_t member : outcome.answers.SortedOrder()) {
+      result.answers.emplace_back(i, collection_.entry(i).name,
+                                  outcome.answers[member]);
     }
   }
   result.elapsed_ms = timer.ElapsedMillis();

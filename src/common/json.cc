@@ -122,6 +122,37 @@ size_t Value::size() const {
   return 0;
 }
 
+namespace {
+
+// Bytes a string holds outside its own object: none while it fits the
+// small-string buffer, its capacity plus the terminator once it spills.
+size_t StringHeapBytes(const std::string& s) {
+  static const size_t kInlineCapacity = std::string().capacity();
+  return s.capacity() > kInlineCapacity ? s.capacity() + 1 : 0;
+}
+
+}  // namespace
+
+size_t Value::HeapBytes() const {
+  size_t bytes = 0;
+  switch (kind_) {
+    case Kind::kString:
+      return StringHeapBytes(string_);
+    case Kind::kArray:
+      bytes = array_.capacity() * sizeof(Value);
+      for (const Value& element : array_) bytes += element.HeapBytes();
+      return bytes;
+    case Kind::kObject:
+      bytes = object_.capacity() * sizeof(object_[0]);
+      for (const auto& [key, value] : object_) {
+        bytes += StringHeapBytes(key) + value.HeapBytes();
+      }
+      return bytes;
+    default:
+      return 0;
+  }
+}
+
 const Value& Value::operator[](size_t i) const {
   XFRAG_CHECK(kind_ == Kind::kArray && i < array_.size());
   return array_[i];

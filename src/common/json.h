@@ -101,6 +101,11 @@ class Value {
   /// Elements of an array / members of an object; 0 for scalars.
   size_t size() const;
 
+  /// \brief Bytes this value owns on the heap: string and container
+  /// capacities, found by a recursive walk (sizeof(Value) itself excluded;
+  /// 0 for scalars and for strings short enough to live inline).
+  size_t HeapBytes() const;
+
   /// Array element access (requires is_array()).
   const Value& operator[](size_t i) const;
   Value& operator[](size_t i);

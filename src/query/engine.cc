@@ -8,7 +8,6 @@
 namespace xfrag::query {
 
 using algebra::Fragment;
-using algebra::FragmentSet;
 
 namespace {
 
@@ -149,13 +148,9 @@ StatusOr<EvalResult> QueryEngine::RunPlan(
     result.answers = std::move(answers).value();
 
     if (options.answer_mode == AnswerMode::kLeafStrict) {
-      FragmentSet strict;
-      for (const Fragment& f : result.answers) {
-        if (SatisfiesLeafCondition(f, terms, document_, index_)) {
-          strict.Insert(f);
-        }
-      }
-      result.answers = std::move(strict);
+      result.answers.RetainIf([&](const Fragment& f) {
+        return SatisfiesLeafCondition(f, terms, document_, index_);
+      });
     }
   }
 

@@ -1,5 +1,6 @@
 #include "query/executor.h"
 
+#include <memory>
 #include <optional>
 
 #include "algebra/ops_parallel.h"
@@ -15,16 +16,40 @@ using algebra::OpMetrics;
 
 namespace {
 
-StatusOr<FragmentSet> Execute(const PlanNode& node,
-                              const doc::Document& document,
-                              const text::InvertedIndex& index,
-                              const ExecutorOptions& options,
-                              const FilterContext& context,
-                              OpMetrics* metrics,
-                              std::vector<NodeCardinality>* cardinalities);
+// A plan node's output on its way to its parent: owned by this evaluation,
+// or borrowed from the FixedPointCache, where the shared_ptr pins the cached
+// closure for as long as the operand lives. Operators that only read their
+// operands (joins, reduce, the top-k kernel) read set() either way, so a
+// cache hit copies nothing. Take() hands the set to a consumer that filters
+// in place (σ) or returns it: an owned set moves, and a borrowed one is
+// copied, because a cached closure is shared and must never be mutated.
+class Operand {
+ public:
+  explicit Operand(FragmentSet owned) : owned_(std::move(owned)) {}
+  explicit Operand(std::shared_ptr<const FragmentSet> borrowed)
+      : borrowed_(std::move(borrowed)) {}
+
+  const FragmentSet& set() const {
+    return borrowed_ != nullptr ? *borrowed_ : owned_;
+  }
+  FragmentSet Take() && {
+    if (borrowed_ != nullptr) return *borrowed_;
+    return std::move(owned_);
+  }
+
+ private:
+  FragmentSet owned_;
+  std::shared_ptr<const FragmentSet> borrowed_;
+};
+
+StatusOr<Operand> Execute(const PlanNode& node, const doc::Document& document,
+                          const text::InvertedIndex& index,
+                          const ExecutorOptions& options,
+                          const FilterContext& context, OpMetrics* metrics,
+                          std::vector<NodeCardinality>* cardinalities);
 
 // Runs one node and records its output cardinality.
-StatusOr<FragmentSet> ExecuteRecorded(
+StatusOr<Operand> ExecuteRecorded(
     const PlanNode& node, const doc::Document& document,
     const text::InvertedIndex& index, const ExecutorOptions& options,
     const FilterContext& context, OpMetrics* metrics,
@@ -32,7 +57,7 @@ StatusOr<FragmentSet> ExecuteRecorded(
   auto result = Execute(node, document, index, options, context, metrics,
                         cardinalities);
   if (result.ok() && cardinalities != nullptr) {
-    cardinalities->push_back({&node, result->size()});
+    cardinalities->push_back({&node, result->set().size()});
   }
   return result;
 }
@@ -41,13 +66,11 @@ Status DeadlineError() {
   return Status::DeadlineExceeded("query deadline exceeded during execution");
 }
 
-StatusOr<FragmentSet> Execute(const PlanNode& node,
-                              const doc::Document& document,
-                              const text::InvertedIndex& index,
-                              const ExecutorOptions& options,
-                              const FilterContext& context,
-                              OpMetrics* metrics,
-                              std::vector<NodeCardinality>* cardinalities) {
+StatusOr<Operand> Execute(const PlanNode& node, const doc::Document& document,
+                          const text::InvertedIndex& index,
+                          const ExecutorOptions& options,
+                          const FilterContext& context, OpMetrics* metrics,
+                          std::vector<NodeCardinality>* cardinalities) {
   // Cooperative deadline: one check per plan node, plus the finer-grained
   // checks inside the unbounded kernels below.
   if (ShouldStop(options.cancel)) return DeadlineError();
@@ -66,7 +89,7 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
             metrics->filter_evals += hit->filter_evals;
             metrics->filter_rejections += hit->filter_rejections;
           }
-          return hit->result;
+          return Operand(hit->result);
         }
       }
       FragmentSet out;
@@ -91,15 +114,16 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
         options.scan_memo->Insert(std::move(memo_key),
                                   ScanMemo::Entry{out, evals, rejections});
       }
-      return out;
+      return Operand(std::move(out));
     }
     case PlanNodeKind::kSelect: {
       XFRAG_CHECK(node.children.size() == 1);
       auto child = ExecuteRecorded(*node.children[0], document, index,
                                    options, context, metrics, cardinalities);
       if (!child.ok()) return child;
-      return algebra::Select(child.value(), node.filter, context, metrics,
-                             options.subtree_classes);
+      return Operand(algebra::Select(std::move(*child).Take(), node.filter,
+                                     context, metrics,
+                                     options.subtree_classes));
     }
     case PlanNodeKind::kPairwiseJoin: {
       XFRAG_CHECK(node.children.size() == 2);
@@ -110,13 +134,12 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
                                    options, context, metrics, cardinalities);
       if (!right.ok()) return right;
       if (node.filter != nullptr) {
-        return algebra::PairwiseJoinFilteredParallel(
-            document, left.value(), right.value(), node.filter, context,
-            options.thread_pool, metrics, options.subtree_classes);
+        return Operand(algebra::PairwiseJoinFilteredParallel(
+            document, left->set(), right->set(), node.filter, context,
+            options.thread_pool, metrics, options.subtree_classes));
       }
-      return algebra::PairwiseJoinParallel(document, left.value(),
-                                           right.value(), options.thread_pool,
-                                           metrics);
+      return Operand(algebra::PairwiseJoinParallel(
+          document, left->set(), right->set(), options.thread_pool, metrics));
     }
     case PlanNodeKind::kPowersetJoin: {
       XFRAG_CHECK(node.children.size() == 2);
@@ -128,8 +151,10 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
       if (!right.ok()) return right;
       algebra::PowersetJoinOptions powerset = options.powerset;
       if (powerset.cancel == nullptr) powerset.cancel = options.cancel;
-      return algebra::PowersetJoinBruteForce(document, left.value(),
-                                             right.value(), powerset, metrics);
+      auto joined = algebra::PowersetJoinBruteForce(
+          document, left->set(), right->set(), powerset, metrics);
+      if (!joined.ok()) return joined.status();
+      return Operand(std::move(joined).value());
     }
     case PlanNodeKind::kFixedPoint: {
       XFRAG_CHECK(node.children.size() == 1);
@@ -147,44 +172,44 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
         cache_key += node.filter ? node.filter->ToString() : "";
         cache_key += node.fixed_point_reduced ? "\x1fR" : "\x1fN";
         if (auto cached = options.fixed_point_cache->Find(cache_key)) {
-          return *cached;
+          return Operand(std::move(cached));
         }
       }
       auto child = ExecuteRecorded(*node.children[0], document, index,
                                    options, context, metrics, cardinalities);
       if (!child.ok()) return child;
-      StatusOr<FragmentSet> closure = [&]() -> StatusOr<FragmentSet> {
+      const FragmentSet& base = child->set();
+      FragmentSet closure = [&] {
         if (node.filter != nullptr) {
           return algebra::FixedPointFilteredParallel(
-              document, child.value(), node.filter, context,
-              options.thread_pool, metrics, options.cancel,
-              options.subtree_classes);
+              document, base, node.filter, context, options.thread_pool,
+              metrics, options.cancel, options.subtree_classes);
         }
         if (node.fixed_point_reduced) {
           return algebra::FixedPointReducedParallel(
-              document, child.value(), options.thread_pool, metrics,
-              options.cancel);
+              document, base, options.thread_pool, metrics, options.cancel);
         }
-        return algebra::FixedPointNaiveParallel(document, child.value(),
-                                                options.thread_pool, metrics,
-                                                options.cancel);
+        return algebra::FixedPointNaiveParallel(
+            document, base, options.thread_pool, metrics, options.cancel);
       }();
       // A cancelled kernel returns the partial working set it had; it must
       // surface as an error, and above all must never be cached as if it
       // were the true closure.
       if (ShouldStop(options.cancel)) return DeadlineError();
-      if (closure.ok() && !cache_key.empty()) {
-        options.fixed_point_cache->Insert(cache_key, closure.value());
-      }
-      return closure;
+      if (cache_key.empty()) return Operand(std::move(closure));
+      // Publish the closure and borrow it back: the cache and this
+      // evaluation share one copy.
+      auto shared = std::make_shared<const FragmentSet>(std::move(closure));
+      options.fixed_point_cache->Insert(cache_key, shared);
+      return Operand(std::move(shared));
     }
     case PlanNodeKind::kReduce: {
       XFRAG_CHECK(node.children.size() == 1);
       auto child = ExecuteRecorded(*node.children[0], document, index,
                                    options, context, metrics, cardinalities);
       if (!child.ok()) return child;
-      return algebra::ReduceParallel(document, child.value(),
-                                     options.thread_pool, metrics);
+      return Operand(algebra::ReduceParallel(document, child->set(),
+                                             options.thread_pool, metrics));
     }
   }
   return Status::Internal("unknown plan node kind");
@@ -222,8 +247,10 @@ StatusOr<FragmentSet> ExecutePlan(const PlanNode& plan,
   FilterContext context{&document, &index};
   std::optional<ThreadPool> transient_pool;
   ExecutorOptions resolved = ResolvePool(options, &transient_pool);
-  return ExecuteRecorded(plan, document, index, resolved, context, metrics,
-                         cardinalities);
+  auto result = ExecuteRecorded(plan, document, index, resolved, context,
+                                metrics, cardinalities);
+  if (!result.ok()) return result.status();
+  return std::move(*result).Take();
 }
 
 StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
@@ -273,7 +300,7 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
         (residue == nullptr || residue->TranslationInvariant())
             ? resolved.subtree_classes
             : nullptr;
-    algebra::PairwiseJoinTopKParallel(document, left.value(), right.value(),
+    algebra::PairwiseJoinTopKParallel(document, left->set(), right->set(),
                                       join_filter, context, scorer, admit,
                                       &collector, resolved.thread_pool, metrics,
                                       resolved.cancel, dag);
@@ -296,7 +323,7 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
   if (!full.ok()) return full.status();
   algebra::TopKCollector collector(k);
   collector.SeedFloor(resolved.score_floor);
-  for (const Fragment& f : full.value()) {
+  for (const Fragment& f : full->set()) {
     if (accept && !accept(f)) continue;
     collector.Offer(f, scorer.Score(f));
   }

@@ -24,7 +24,10 @@ struct ExecutorOptions {
   algebra::PowersetJoinOptions powerset;
   /// Optional cross-query memo table for FixedPoint-over-Scan plan
   /// fragments. The pointed-to cache must outlive the execution and must
-  /// only ever be used with one (document, index) pair. Thread-safe.
+  /// only ever be used with one (document, index) pair. Thread-safe. A hit
+  /// is borrowed, not copied: the executor reads the cached closure through
+  /// the cache's shared_ptr, and copies it only when an operator would
+  /// mutate it (σ filters its operand in place) or it is the plan's result.
   FixedPointCache* fixed_point_cache = nullptr;
   /// Kernel parallelism for the join and fixed-point operators: 1 runs the
   /// serial kernels; > 1 runs the pooled kernels of algebra/ops_parallel

@@ -75,9 +75,15 @@ class FixedPointCache {
   /// including, when a single closure exceeds the whole byte budget, the
   /// entry just inserted.
   bool Insert(const std::string& key, algebra::FragmentSet value) {
-    size_t bytes = ApproxBytes(value);
-    auto shared = std::make_shared<const algebra::FragmentSet>(
-        std::move(value));
+    return Insert(key, std::make_shared<const algebra::FragmentSet>(
+                           std::move(value)));
+  }
+
+  /// \brief As above, for a closure the caller already holds by shared_ptr
+  /// (the executor publishes a closure and keeps reading the same copy).
+  bool Insert(const std::string& key,
+              std::shared_ptr<const algebra::FragmentSet> shared) {
+    size_t bytes = ApproxBytes(*shared);
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] =
         entries_.try_emplace(key, Entry{std::move(shared), bytes, ++tick_});

@@ -36,9 +36,9 @@ std::shared_ptr<const json::Value> ResultCache::Find(const std::string& key) {
 
 void ResultCache::Insert(const std::string& key, json::Value body) {
   if (!enabled()) return;
-  // Size the entry by its serialized form — the same bytes the server would
-  // otherwise recompute — plus key and bookkeeping overhead.
-  size_t bytes = key.size() + body.Dump().size() + 160;
+  // Size the entry by what it holds: the key, the body's tree and its heap,
+  // plus the list/index/shared_ptr bookkeeping.
+  size_t bytes = key.size() + sizeof(json::Value) + body.HeapBytes() + 160;
   if (bytes > shard_budget_) return;
   auto shared = std::make_shared<const json::Value>(std::move(body));
 

@@ -8,7 +8,10 @@
 // shard is an intrusive recency list plus a key map under its own mutex, so
 // concurrent workers serving disjoint queries rarely contend. Values are
 // held by shared_ptr and copied out on hit — an entry may be evicted while a
-// hit is still rendering, and nothing dangles.
+// hit is still rendering, and nothing dangles. The budget counts the heap
+// bytes of those trees (json::Value::HeapBytes), which are several times
+// their serialized size — sizing by Dump() would both serialize every miss
+// twice and let the cache hold far more memory than its budget says.
 //
 // The cache stores only successful (HTTP 200) bodies; errors, deadline
 // expirations, and debug-sleep requests are never cached (see service.cc).
@@ -30,7 +33,9 @@ namespace xfrag::server {
 
 /// Result-cache sizing knobs.
 struct ResultCacheOptions {
-  /// Total byte budget across all shards. 0 disables the cache entirely
+  /// Total byte budget across all shards, counted as the memory the entries
+  /// hold: key, json::Value tree and its heap bytes (Value::HeapBytes), and
+  /// per-entry bookkeeping. 0 disables the cache entirely
   /// (every Find misses without counting, every Insert is a no-op).
   size_t max_bytes = 0;
   /// Number of lock-striped shards; clamped to at least 1. Requests hash to
@@ -48,7 +53,8 @@ struct ResultCacheStats {
   uint64_t inserts = 0;
 };
 
-/// \brief Sharded, byte-budgeted LRU cache of rendered response bodies.
+/// \brief Sharded, byte-budgeted LRU cache of response bodies (held as
+/// json::Value trees, serialized per hit).
 ///
 /// Thread-safe: all methods may be called concurrently from any number of
 /// worker threads.

@@ -514,6 +514,26 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
   std::unordered_map<doc::SubtreeClassId, StoredDocResult> evaluated_classes;
   size_t documents_deduplicated = 0;
 
+  // Full mode: every answer counts, and the first max_answers of the
+  // request, in canonical order per document, are rendered. The order comes
+  // from a sorted index of members, so no answer is copied to be sorted.
+  auto append_full_answers = [&](const algebra::FragmentSet& set, size_t i) {
+    answer_count += set.size();
+    size_t room = set.size();
+    if (request.max_answers >= 0) {
+      const size_t limit = static_cast<size_t>(request.max_answers);
+      room = answers.size() < limit ? limit - answers.size() : 0;
+    }
+    if (room < set.size()) truncated = true;
+    if (room == 0) return;
+    const collection::CollectionEntry& entry = collection_.entry(i);
+    for (uint32_t member : set.SortedOrder()) {
+      if (room-- == 0) break;
+      answers.Append(AnswerToJson(entry.name, i, set[member], entry.document,
+                                  request.include_xml));
+    }
+  };
+
   for (size_t i = 0; i < collection_.size(); ++i) {
     const collection::CollectionEntry& entry = collection_.entry(i);
     // Conjunctive pre-check, as in CollectionEngine: a document missing any
@@ -572,16 +592,7 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
             hits.push_back(RankedHit{answer.score, i, answer.fragment});
           }
         } else {
-          for (const Fragment& fragment : stored.answers.Sorted()) {
-            ++answer_count;
-            if (request.max_answers >= 0 &&
-                answers.size() >= static_cast<size_t>(request.max_answers)) {
-              truncated = true;
-              continue;
-            }
-            answers.Append(AnswerToJson(entry.name, i, fragment,
-                                        entry.document, request.include_xml));
-          }
+          append_full_answers(stored.answers, i);
         }
         continue;
       }
@@ -637,16 +648,7 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
         hits.push_back(RankedHit{answer.score, i, std::move(answer.fragment)});
       }
     } else {
-      for (const Fragment& fragment : result->answers.Sorted()) {
-        ++answer_count;
-        if (request.max_answers >= 0 &&
-            answers.size() >= static_cast<size_t>(request.max_answers)) {
-          truncated = true;
-          continue;
-        }
-        answers.Append(AnswerToJson(entry.name, i, fragment, entry.document,
-                                    request.include_xml));
-      }
+      append_full_answers(result->answers, i);
     }
     if (request.explain) {
       json::Value explain = json::Value::Object();

@@ -80,6 +80,8 @@ struct ServiceOptions {
   /// sorted and case-folded, plus filter, strategy, answer mode, top_k, and
   /// every rendering option — and a hit is served without invoking the
   /// engine at all. Requests carrying "debug_sleep_ms" bypass the cache.
+  /// The budget counts the heap bytes of the cached json::Value trees (see
+  /// ResultCache::Insert), not their serialized size.
   size_t result_cache_bytes = 0;
   /// Lock-striping shard count of the result cache.
   size_t result_cache_shards = 8;

@@ -359,5 +359,58 @@ TEST(JsonParse, DepthLimitBoundaryIsExact) {
   EXPECT_EQ(offset, static_cast<size_t>(5 * (kMaxParseDepth + 1)));
 }
 
+TEST(JsonHeapBytes, ScalarsHoldNoHeap) {
+  EXPECT_EQ(Value().HeapBytes(), 0u);
+  EXPECT_EQ(Value(true).HeapBytes(), 0u);
+  EXPECT_EQ(Value(int64_t{-7}).HeapBytes(), 0u);
+  EXPECT_EQ(Value(uint64_t{42}).HeapBytes(), 0u);
+  EXPECT_EQ(Value(2.5).HeapBytes(), 0u);
+  EXPECT_EQ(Value("v").HeapBytes(), 0u);  // Fits the inline string buffer.
+  EXPECT_EQ(Value::Array().HeapBytes(), 0u);
+  EXPECT_EQ(Value::Object().HeapBytes(), 0u);
+  const std::string long_text(100, 'x');
+  EXPECT_GT(Value(long_text).HeapBytes(), long_text.size());
+}
+
+TEST(JsonHeapBytes, EqualTreesGiveEqualValues) {
+  const char* text =
+      R"({"answers":[{"root":3,"nodes":[3,4,5],"xml":"<a>some text</a>"}],)"
+      R"("query":"{xquery, optimization} WHERE size<=3","elapsed_ms":0.25})";
+  auto a = Parse(text);
+  auto b = Parse(text);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_GT(a->HeapBytes(), 0u);
+  EXPECT_EQ(a->HeapBytes(), b->HeapBytes());
+  auto build = [] {
+    Value v = Value::Object();
+    v.Set("document", std::string(40, 'd'));
+    Value nodes = Value::Array();
+    for (uint64_t n = 0; n < 10; ++n) nodes.Append(n);
+    v.Set("nodes", std::move(nodes));
+    return v;
+  };
+  EXPECT_EQ(build().HeapBytes(), build().HeapBytes());
+}
+
+TEST(JsonHeapBytes, AddingAnElementRaisesIt) {
+  Value array = Value::Array();
+  size_t before = array.HeapBytes();
+  array.Append(uint64_t{1});
+  EXPECT_GT(array.HeapBytes(), before);
+  before = array.HeapBytes();
+  array.Append(std::string(64, 's'));
+  EXPECT_GT(array.HeapBytes(), before);
+
+  Value object = Value::Object();
+  before = object.HeapBytes();
+  object.Set("k", 1);
+  EXPECT_GT(object.HeapBytes(), before);
+  before = object.HeapBytes();
+  Value inner = Value::Array();
+  inner.Append(2.0);
+  object.Set("nested", std::move(inner));
+  EXPECT_GT(object.HeapBytes(), before);
+}
+
 }  // namespace
 }  // namespace xfrag::json
