@@ -1,12 +1,12 @@
 // Substrate throughput microbenchmarks (google-benchmark): XML parse,
-// document flattening, index construction, serialization, and bundle
-// save/load. These are the fixed costs every query session pays once.
+// document flattening, index construction and serialization. These are the
+// fixed costs every query session pays once (snapshot write/open costs are
+// measured by bench_snapshot).
 
 #include <benchmark/benchmark.h>
 
 #include "doc/document.h"
 #include "gen/corpus.h"
-#include "storage/storage.h"
 #include "text/inverted_index.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -65,33 +65,6 @@ void BM_Serialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Serialize)->Arg(1000)->Arg(10000);
-
-void BM_BundleWrite(benchmark::State& state) {
-  std::string xml_text = CorpusXml(static_cast<size_t>(state.range(0)));
-  auto dom = xml::Parse(xml_text);
-  auto document = doc::Document::FromDom(*dom);
-  auto index = text::InvertedIndex::Build(*document);
-  for (auto _ : state) {
-    std::string data = storage::WriteBundle(*document, &index);
-    benchmark::DoNotOptimize(data);
-  }
-}
-BENCHMARK(BM_BundleWrite)->Arg(1000)->Arg(10000);
-
-void BM_BundleRead(benchmark::State& state) {
-  std::string xml_text = CorpusXml(static_cast<size_t>(state.range(0)));
-  auto dom = xml::Parse(xml_text);
-  auto document = doc::Document::FromDom(*dom);
-  auto index = text::InvertedIndex::Build(*document);
-  std::string data = storage::WriteBundle(*document, &index);
-  for (auto _ : state) {
-    auto bundle = storage::ReadBundle(data);
-    if (!bundle.ok()) state.SkipWithError("read failed");
-    benchmark::DoNotOptimize(bundle);
-  }
-  state.SetLabel("bundle bytes: " + std::to_string(data.size()));
-}
-BENCHMARK(BM_BundleRead)->Arg(1000)->Arg(10000);
 
 }  // namespace
 

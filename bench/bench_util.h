@@ -18,13 +18,14 @@
 
 namespace xfrag::bench {
 
-/// \brief One machine-readable benchmark measurement — the schema shared by
-/// BENCH_parallel.json and BENCH_core.json.
+/// \brief One machine-readable benchmark measurement — the BENCH_*.json row
+/// schema.
 ///
 /// `serial_ms` is the baseline timing and `parallel_ms` the candidate
-/// (pooled kernel, prefiltered kernel, ...); for plain microbenchmarks both
-/// hold the same measurement and the speedup is 1. `counters` appends extra
-/// integer fields to the JSON object (e.g. "pairs_rejected_summary").
+/// (prefiltered kernel, DAG replay, snapshot open, ...); for plain
+/// microbenchmarks both hold the same measurement and the speedup is 1.
+/// `counters` appends extra integer fields to the JSON object (e.g.
+/// "pairs_rejected_summary").
 struct BenchRecord {
   BenchRecord() = default;
   BenchRecord(std::string op_in, size_t set1_in, size_t set2_in,

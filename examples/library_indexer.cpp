@@ -2,10 +2,10 @@
 //
 //  1. Generate a small library of XML files on disk (stand-in for a real
 //     document-centric corpus).
-//  2. Parse + index each file once and persist it as a binary bundle (.xdb).
-//  3. Reload the bundles into a Collection (no re-parsing, checksums
-//     verified) and run keyword queries across the whole library with
-//     provenance and overlap grouping.
+//  2. Parse + index each file once and write the library as one mmap
+//     snapshot (.snap), the format xfragd --snapshot serves.
+//  3. Open the snapshot (no re-parsing, structure validated) and run keyword
+//     queries across the whole library with provenance.
 //
 //   $ ./library_indexer [num_documents]
 
@@ -19,9 +19,7 @@
 #include "common/timer.h"
 #include "gen/corpus.h"
 #include "query/answers.h"
-#include "storage/storage.h"
-#include "text/inverted_index.h"
-#include "xml/parser.h"
+#include "storage/snapshot.h"
 
 namespace fs = std::filesystem;
 
@@ -50,49 +48,40 @@ int main(int argc, char** argv) {
     out << xfrag::gen::ToXml(raw);
   }
 
-  // --- 2. Index each file into a bundle ----------------------------------
+  // --- 2. Index the files into one snapshot ------------------------------
   xfrag::Timer index_timer;
-  size_t total_nodes = 0;
+  xfrag::text::IndexOptions index_options;
+  xfrag::collection::Collection parsed(index_options);
   for (size_t i = 0; i < documents; ++i) {
-    fs::path xml_path = workdir / ("vol" + std::to_string(i) + ".xml");
-    std::ifstream in(xml_path);
+    std::string name = "vol" + std::to_string(i);
+    std::ifstream in(workdir / (name + ".xml"));
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-    auto dom = xfrag::xml::Parse(content);
-    if (!dom.ok()) {
-      std::fprintf(stderr, "%s\n", dom.status().ToString().c_str());
-      return 1;
-    }
-    auto document = xfrag::doc::Document::FromDom(*dom);
-    if (!document.ok()) return 1;
-    auto index = xfrag::text::InvertedIndex::Build(*document);
-    total_nodes += document->size();
-    auto status = xfrag::storage::SaveBundleToFile(
-        (workdir / ("vol" + std::to_string(i) + ".xdb")).string(), *document,
-        &index);
+    auto status = parsed.AddXml(name, content);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
   }
-  std::printf("indexed %zu nodes into bundles in %.1f ms\n", total_nodes,
-              index_timer.ElapsedMillis());
-
-  // --- 3. Reload bundles and query the collection ------------------------
-  xfrag::Timer load_timer;
-  xfrag::collection::Collection library;
-  for (size_t i = 0; i < documents; ++i) {
-    std::string name = "vol" + std::to_string(i);
-    auto bundle = xfrag::storage::LoadBundleFromFile(
-        (workdir / (name + ".xdb")).string());
-    if (!bundle.ok()) {
-      std::fprintf(stderr, "%s\n", bundle.status().ToString().c_str());
-      return 1;
-    }
-    if (!library.Add(name, std::move(bundle->document)).ok()) return 1;
+  std::string snapshot_path = (workdir / "library.snap").string();
+  auto written =
+      xfrag::storage::WriteSnapshot(parsed, index_options, snapshot_path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    return 1;
   }
-  std::printf("reloaded %zu bundles in %.1f ms (no re-parsing)\n",
-              library.size(), load_timer.ElapsedMillis());
+  std::printf("indexed %zu nodes into %s in %.1f ms\n", parsed.TotalNodes(),
+              snapshot_path.c_str(), index_timer.ElapsedMillis());
+
+  // --- 3. Open the snapshot and query the collection ---------------------
+  auto snapshot = xfrag::storage::LoadCollectionFromSnapshot(snapshot_path);
+  if (!snapshot.ok()) {
+    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
+    return 1;
+  }
+  const xfrag::collection::Collection& library = snapshot->collection;
+  std::printf("opened %zu documents in %.3f ms (no re-parsing)\n",
+              library.size(), snapshot->stats.open_ms);
 
   xfrag::collection::CollectionEngine engine(library);
   xfrag::query::Query query;

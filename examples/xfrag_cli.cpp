@@ -1,10 +1,10 @@
 // xfrag_cli — keyword search over XML files from the command line.
 //
-//   usage: xfrag_cli <file.xml|file.xdb>... <keyword>... [options]
+//   usage: xfrag_cli <file.xml>... <keyword>... [options]
 //
-//   Files are recognized by extension: .xml is parsed, .xdb is a binary
-//   bundle written by --save-bundle. Multiple files form a collection and
-//   answers carry document provenance.
+//   Arguments ending in .xml are parsed as documents; every other argument
+//   is a keyword. Multiple files form a collection and answers carry
+//   document provenance.
 //
 //   options:
 //     --filter EXPR        e.g. --filter 'size<=3 & height<=2'
@@ -12,9 +12,7 @@
 //     --cost-model         resolve 'auto' with the Section-5 cost model
 //     --leaf-strict        Definition-8 leaf condition
 //     --explain            print the executed plan (single-document mode)
-//     --parallel N         run kernels on an N-worker pool (default 1)
 //     --max N              print at most N fragments (default 10)
-//     --save-bundle PATH   persist the parsed document + index (single file)
 //     --xml                print each answer fragment as an XML snippet
 //
 //   $ ./xfrag_cli paper.xml xquery optimization --filter 'size<=3' --explain
@@ -30,7 +28,7 @@
 #include "common/strings.h"
 #include "query/answers.h"
 #include "query/engine.h"
-#include "storage/storage.h"
+#include "query/optimizer.h"
 #include "xml/parser.h"
 
 namespace {
@@ -38,10 +36,9 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s <file.xml|file.xdb>... <keyword>... [options]\n"
+      "usage: %s <file.xml>... <keyword>... [options]\n"
       "  --filter EXPR | --strategy S | --cost-model | --leaf-strict\n"
-      "  --explain | --analyze | --parallel N | --max N\n"
-      "  --save-bundle PATH | --xml\n",
+      "  --explain | --analyze | --max N | --xml\n",
       argv0);
   return 2;
 }
@@ -63,11 +60,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> terms;
   std::string filter_expr = "true";
   std::string strategy_name = "auto";
-  std::string save_bundle_path;
   bool leaf_strict = false, explain = false, cost_model = false,
        print_xml = false, analyze = false;
   size_t max_print = 10;
-  long parallelism = 1;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -75,8 +70,6 @@ int main(int argc, char** argv) {
       filter_expr = argv[++i];
     } else if (arg == "--strategy" && i + 1 < argc) {
       strategy_name = argv[++i];
-    } else if (arg == "--save-bundle" && i + 1 < argc) {
-      save_bundle_path = argv[++i];
     } else if (arg == "--leaf-strict") {
       leaf_strict = true;
     } else if (arg == "--explain") {
@@ -88,17 +81,11 @@ int main(int argc, char** argv) {
       cost_model = true;
     } else if (arg == "--xml") {
       print_xml = true;
-    } else if (arg == "--parallel" && i + 1 < argc) {
-      parallelism = std::atol(argv[++i]);
-      if (parallelism < 1) {
-        std::fprintf(stderr, "--parallel requires a worker count >= 1\n");
-        return 2;
-      }
     } else if (arg == "--max" && i + 1 < argc) {
       max_print = static_cast<size_t>(std::atol(argv[++i]));
     } else if (arg.rfind("--", 0) == 0) {
       return Usage(argv[0]);
-    } else if (xfrag::EndsWith(arg, ".xml") || xfrag::EndsWith(arg, ".xdb")) {
+    } else if (xfrag::EndsWith(arg, ".xml")) {
       files.push_back(arg);
     } else {
       terms.push_back(arg);
@@ -109,47 +96,17 @@ int main(int argc, char** argv) {
   // Load everything into a collection.
   xfrag::collection::Collection collection;
   for (const std::string& path : files) {
-    if (xfrag::EndsWith(path, ".xdb")) {
-      auto bundle = xfrag::storage::LoadBundleFromFile(path);
-      if (!bundle.ok()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     bundle.status().ToString().c_str());
-        return 1;
-      }
-      auto status = collection.Add(path, std::move(bundle->document));
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-    } else {
-      auto content = ReadFile(path);
-      if (!content.ok()) {
-        std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
-        return 1;
-      }
-      auto status = collection.AddXml(path, *content);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     status.ToString().c_str());
-        return 1;
-      }
-    }
-  }
-
-  if (!save_bundle_path.empty()) {
-    if (collection.size() != 1) {
-      std::fprintf(stderr, "--save-bundle requires exactly one input file\n");
+    auto content = ReadFile(path);
+    if (!content.ok()) {
+      std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
       return 1;
     }
-    const auto& entry = collection.entry(0);
-    auto status = xfrag::storage::SaveBundleToFile(
-        save_bundle_path, entry.document, &entry.index);
+    auto status = collection.AddXml(path, *content);
     if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                   status.ToString().c_str());
       return 1;
     }
-    std::printf("saved bundle: %s (%zu nodes)\n", save_bundle_path.c_str(),
-                entry.document.size());
   }
 
   // Build the query.
@@ -164,22 +121,14 @@ int main(int argc, char** argv) {
   query.filter = *filter;
 
   xfrag::query::EvalOptions options;
-  if (strategy_name == "auto") {
-    options.strategy = xfrag::query::Strategy::kAuto;
-  } else if (strategy_name == "brute") {
-    options.strategy = xfrag::query::Strategy::kBruteForce;
-  } else if (strategy_name == "naive") {
-    options.strategy = xfrag::query::Strategy::kFixedPointNaive;
-  } else if (strategy_name == "reduced") {
-    options.strategy = xfrag::query::Strategy::kFixedPointReduced;
-  } else if (strategy_name == "pushdown") {
-    options.strategy = xfrag::query::Strategy::kPushDown;
-  } else {
+  auto strategy = xfrag::query::ParseStrategyName(strategy_name);
+  if (!strategy.ok()) {
+    std::fprintf(stderr, "%s\n", strategy.status().ToString().c_str());
     return Usage(argv[0]);
   }
+  options.strategy = *strategy;
   options.optimizer.use_cost_model = cost_model;
   options.analyze = analyze;
-  options.executor.parallelism = static_cast<unsigned>(parallelism);
   if (leaf_strict) {
     options.answer_mode = xfrag::query::AnswerMode::kLeafStrict;
   }

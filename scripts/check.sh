@@ -17,11 +17,12 @@
 # loopback integration suite, the /admin/reload epoch-swap suite, and the
 # /query_batch byte-identity suite included), `router` (the scatter-gather
 # tier with its hedging, cancellation, and batch-scatter paths), and
-# `parallel` (the pooled class-aware kernels with their per-chunk DAG
-# caches) under TSan, since those are the places worker threads share an
-# engine, caches, or replay state. The batched-evaluation suites ride the
-# existing stages: query/batch_test in tier-1 ctest and the ASan query_test
-# run, server/batch_equivalence_test under `-L server`, and
+# `parallel` (the thread pool, the collection engine's per-document
+# fan-out, the shared fixed-point cache, the DAG-equivalence and prefilter
+# property suites) under TSan, since those are the places worker threads
+# share an engine, caches, or replay state. The batched-evaluation suites
+# ride the existing stages: query/batch_test in tier-1 ctest and the ASan
+# query_test run, server/batch_equivalence_test under `-L server`, and
 # router/router_batch_test under `-L router` — both in tier-1 and again
 # under TSan. The XQL language suite (`-L lang`: parser round-trip,
 # lowering 1:1, the mutation/token-soup fuzz corpus, the JSON↔XQL
@@ -33,7 +34,10 @@
 # buffers) and its merge all read bytes that come off a socket.
 # A UBSan build runs the algebra and query suites and the `parallel` label,
 # where index and arena arithmetic (FragmentSet's probe table included)
-# would overflow or shift out of range.
+# would overflow or shift out of range, and then the server, router,
+# storage and lang suites, whose parsers do offset arithmetic on bytes off
+# the wire and off disk. The algebra suite includes the reference oracle
+# (every kernel against Defs. 2-10), so it runs under ASan and UBSan too.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -104,20 +108,24 @@ echo "== asan: run server + router =="
 (cd build-asan && ctest -L server --output-on-failure -j "$JOBS")
 (cd build-asan && ctest -L router --output-on-failure -j "$JOBS")
 
-echo "== ubsan: build algebra + query + parallel suites =="
+echo "== ubsan: build algebra query parallel server router storage lang =="
 # UBSan over the kernels and the containers they share: FragmentSet's flat
 # open-addressing index (masked probes over uint32 member slots), the join
 # arenas and the top-k heaps. halt_on_error turns the first report into a
 # failing exit instead of a log line.
 cmake -B build-ubsan -S . -DXFRAG_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS" --target algebra_test query_test \
-  parallel_test
+  parallel_test server_test router_test storage_test lang_test xfrag_repl
 
 echo "== ubsan: run =="
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ./build-ubsan/tests/algebra_test
 ./build-ubsan/tests/query_test
 (cd build-ubsan && ctest -L parallel --output-on-failure -j "$JOBS")
+(cd build-ubsan && ctest -L server --output-on-failure -j "$JOBS")
+(cd build-ubsan && ctest -L router --output-on-failure -j "$JOBS")
+(cd build-ubsan && ctest -L storage --output-on-failure -j "$JOBS")
+(cd build-ubsan && ctest -L lang --output-on-failure -j "$JOBS")
 unset UBSAN_OPTIONS
 
 echo "== tsan: build server + router + parallel suites =="
@@ -128,8 +136,8 @@ cmake --build build-tsan -j "$JOBS" --target server_test router_test \
 echo "== tsan: run =="
 (cd build-tsan && ctest -L server --output-on-failure -j "$JOBS")
 (cd build-tsan && ctest -L router --output-on-failure -j "$JOBS")
-# The DAG-equivalence stage: pooled class-aware kernels (per-chunk replay
-# caches) must be data-race-free at every thread count the suite sweeps.
+# The `parallel` stage: the thread pool, the collection fan-out and the
+# shared fixed-point cache must be data-race-free.
 (cd build-tsan && ctest -L parallel --output-on-failure -j "$JOBS")
 
 echo "== check.sh: all stages passed =="

@@ -43,6 +43,28 @@ bool PassesFilter(const Fragment& f, const FilterPtr& filter,
   return ok;
 }
 
+// Polls a cancel token once per 1024 candidate pairs, so a deadline cuts a
+// pair loop short within about a thousand joins of work. A kernel that stops
+// returns what it has built so far; callers re-check the token and must never
+// treat that partial result as an answer.
+class PairPoller {
+ public:
+  explicit PairPoller(const CancelToken* cancel) : cancel_(cancel) {}
+
+  /// Counts `pairs` more pairs; true once the token has tripped.
+  bool Stop(size_t pairs = 1) {
+    if (cancel_ == nullptr) return false;
+    since_ += pairs;
+    if (since_ < 1024) return false;
+    since_ = 0;
+    return cancel_->ShouldStop();
+  }
+
+ private:
+  const CancelToken* cancel_;
+  size_t since_ = 0;
+};
+
 std::vector<FragmentSummary> SummarizeSet(const FragmentSet& set,
                                           const Document& document) {
   std::vector<FragmentSummary> out;
@@ -116,15 +138,18 @@ FragmentSet PairwiseJoinFilteredImpl(const Document& document,
                                      const FragmentSet& set2,
                                      const FilterPtr& filter,
                                      const FilterContext& context,
-                                     OpMetrics* metrics, DagJoinState* dag) {
+                                     OpMetrics* metrics, DagJoinState* dag,
+                                     const CancelToken* cancel) {
   FragmentSet out;
   JoinArena arena;
+  PairPoller poll(cancel);
   const bool prefilter = SummaryPrefilterEnabled();
   const std::vector<FragmentSummary> sums1 = SummarizeSet(set1, document);
   const std::vector<FragmentSummary> sums2 = SummarizeSet(set2, document);
   if (dag != nullptr) dag->InternSets(set1, set2);
   for (size_t i = 0; i < set1.size(); ++i) {
     for (size_t j = 0; j < set2.size(); ++j) {
+      if (poll.Stop()) return out;
       if (metrics != nullptr) ++metrics->pairs_considered;
       uint64_t key = 0;
       bool cacheable = dag != nullptr && dag->PairCacheable(i, j, &key);
@@ -310,11 +335,14 @@ Fragment Join(const Document& document, const Fragment& f1, const Fragment& f2,
 }
 
 FragmentSet PairwiseJoin(const Document& document, const FragmentSet& set1,
-                         const FragmentSet& set2, OpMetrics* metrics) {
+                         const FragmentSet& set2, OpMetrics* metrics,
+                         const CancelToken* cancel) {
   FragmentSet out;
   JoinArena arena;
+  PairPoller poll(cancel);
   for (const Fragment& f1 : set1) {
     for (const Fragment& f2 : set2) {
+      if (poll.Stop()) return out;
       out.Insert(JoinWithArena(document, f1, f2, &arena, metrics));
     }
   }
@@ -327,14 +355,15 @@ FragmentSet PairwiseJoinFiltered(const Document& document,
                                  const FilterPtr& filter,
                                  const FilterContext& context,
                                  OpMetrics* metrics,
-                                 const doc::SubtreeClassIndex* dag) {
+                                 const doc::SubtreeClassIndex* dag,
+                                 const CancelToken* cancel) {
   if (!DagUsable(dag, filter)) {
     return PairwiseJoinFilteredImpl(document, set1, set2, filter, context,
-                                    metrics, nullptr);
+                                    metrics, nullptr, cancel);
   }
   DagJoinState state(document, *dag);
   FragmentSet out = PairwiseJoinFilteredImpl(document, set1, set2, filter,
-                                             context, metrics, &state);
+                                             context, metrics, &state, cancel);
   if (metrics != nullptr) metrics->classes_total += state.forms.size();
   return out;
 }
@@ -423,7 +452,7 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
   // collector-dependent score bounds (which are never cached — a pruned pair
   // depends on the heap's state, not on the pair's class), so the decision
   // sequence, every counter, and every Offer are identical to the uncached
-  // run at any fixed thread count.
+  // run.
   std::optional<DagJoinState> dag_state;
   if (DagUsable(dag, filter)) {
     dag_state.emplace(document, *dag);
@@ -461,7 +490,7 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
     WarmupTopKFloor(document, set1, set2, sums1, sums2, ev1, ev2, filter,
                     context, scorer, accept, collector);
   }
-  size_t since_poll = 0;
+  PairPoller poll(cancel);
   for (size_t i = 0; i < set1.size(); ++i) {
     // One arithmetic test retires the whole row when nothing f1 can reach
     // clears the collector's floor; bulk-account the skipped pairs.
@@ -472,18 +501,11 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
         metrics->pairs_considered += set2.size();
         metrics->pairs_rejected_score += set2.size();
       }
-      since_poll += set2.size();
-      if (since_poll >= 1024) {
-        since_poll = 0;
-        if (ShouldStop(cancel)) return;
-      }
+      if (poll.Stop(set2.size())) return;
       continue;
     }
     for (size_t j = 0; j < set2.size(); ++j) {
-      if (++since_poll >= 1024) {
-        since_poll = 0;
-        if (ShouldStop(cancel)) return;
-      }
+      if (poll.Stop()) return;
       if (metrics != nullptr) ++metrics->pairs_considered;
       // Pair-level evidence pre-check from the operand sizes alone — the
       // join is at least as large as its larger operand — so a doomed pair
@@ -694,7 +716,7 @@ StatusOr<FragmentSet> PowersetJoinBruteForce(
 }
 
 FragmentSet Reduce(const Document& document, const FragmentSet& set,
-                   OpMetrics* metrics) {
+                   OpMetrics* metrics, const CancelToken* cancel) {
   // A member survives unless two other distinct members join to a fragment
   // that subsumes it. f ⊆ g requires [min_f,max_f] ⊆ [min_g,max_g] and
   // |f| ≤ |g|, so instead of testing every live member against every joined
@@ -706,8 +728,14 @@ FragmentSet Reduce(const Document& document, const FragmentSet& set,
   std::vector<bool> eliminated(n, false);
   size_t eliminated_count = 0;
   JoinArena arena;
-  for (size_t i = 0; i < n; ++i) {
+  PairPoller poll(cancel);
+  bool stopped = false;
+  for (size_t i = 0; i < n && !stopped; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
+      if (poll.Stop()) {
+        stopped = true;  // Cut short: fewer members eliminated than ⊖ would.
+        break;
+      }
       Fragment joined = JoinWithArena(document, set[i], set[j], &arena,
                                       metrics);
       if (!prefilter) {
@@ -753,7 +781,8 @@ FragmentSet FixedPointNaive(const Document& document, const FragmentSet& set,
   FragmentSet current = set;
   while (!ShouldStop(cancel)) {
     if (metrics != nullptr) ++metrics->fixed_point_iterations;
-    FragmentSet joined = PairwiseJoin(document, current, set, metrics);
+    FragmentSet joined =
+        PairwiseJoin(document, current, set, metrics, cancel);
     // Fixed-point check: has anything new appeared?
     size_t before = current.size();
     current = std::move(current).Union(joined);
@@ -765,14 +794,25 @@ FragmentSet FixedPointNaive(const Document& document, const FragmentSet& set,
 FragmentSet FixedPointReduced(const Document& document, const FragmentSet& set,
                               OpMetrics* metrics, const CancelToken* cancel) {
   if (set.size() <= 1) return set;
-  FragmentSet reduced = Reduce(document, set, metrics);
+  // Theorem 1's bound holds for single-node operands (keyword postings, the
+  // paper's setting): a subset whose join needs every member has them as
+  // leaves of its connecting tree; that tree is a subtree of F's connecting
+  // tree, so it has no more leaves, and F's leaves are exactly ⊖(F). Larger
+  // members break it: F = {{5}, {6}, f} with f ⊇ {5, 6} reduces to {f}, and
+  // k = 1 would never form {5} ⋈ {6}. Such families take the
+  // convergence-checked iteration instead.
+  if (!std::all_of(set.begin(), set.end(),
+                   [](const Fragment& f) { return f.size() == 1; })) {
+    return FixedPointNaive(document, set, metrics, cancel);
+  }
+  FragmentSet reduced = Reduce(document, set, metrics, cancel);
   size_t k = std::max<size_t>(reduced.size(), 1);
   // ⋈_k(F): pairwise join of k copies of F, i.e. k−1 join operations,
   // with no fixed-point checking (Theorem 1).
   FragmentSet current = set;
   for (size_t i = 1; i < k && !ShouldStop(cancel); ++i) {
     if (metrics != nullptr) ++metrics->fixed_point_iterations;
-    current = PairwiseJoin(document, current, set, metrics);
+    current = PairwiseJoin(document, current, set, metrics, cancel);
   }
   // ⋈_k(F) ⊇ F because f ⋈ f = f (idempotency), so this is F⁺ itself.
   return current;
@@ -795,7 +835,7 @@ FragmentSet FixedPointFiltered(const Document& document, const FragmentSet& set,
     if (metrics != nullptr) ++metrics->fixed_point_iterations;
     FragmentSet joined = PairwiseJoinFilteredImpl(
         document, current, base, filter, context, metrics,
-        dag_state.has_value() ? &*dag_state : nullptr);
+        dag_state.has_value() ? &*dag_state : nullptr, cancel);
     size_t before = current.size();
     current = std::move(current).Union(joined);
     if (current.size() == before) break;
@@ -814,7 +854,7 @@ FragmentSet PowersetJoinViaFixedPoint(const Document& document,
   if (set1.empty() || set2.empty()) return FragmentSet();
   FragmentSet fp1 = FixedPointReduced(document, set1, metrics, cancel);
   FragmentSet fp2 = FixedPointReduced(document, set2, metrics, cancel);
-  return PairwiseJoin(document, fp1, fp2, metrics);
+  return PairwiseJoin(document, fp1, fp2, metrics, cancel);
 }
 
 }  // namespace xfrag::algebra

@@ -38,8 +38,8 @@ namespace xfrag::algebra {
 /// filter evaluations the definitions mandate — and are invariant under the
 /// summary prefilters: a pair rejected from its O(1) summary bounds still
 /// counts as one (rejected) filtered join, so these counters match the
-/// unoptimized kernels exactly, for every thread count. The prefilter
-/// counters below them measure *physical* work avoided.
+/// unoptimized kernels exactly. The prefilter counters below them measure
+/// *physical* work avoided.
 struct OpMetrics {
   /// Number of binary fragment-join evaluations.
   uint64_t fragment_joins = 0;
@@ -59,23 +59,22 @@ struct OpMetrics {
   /// vector was merged and no filter ran. Deterministic per input.
   uint64_t pairs_rejected_summary = 0;
   /// Subsumption tests (std::includes) that ⊖'s interval/size candidate
-  /// index proved unnecessary. Schedule-dependent (see Reduce): excluded
-  /// from operator== because parallel elimination order differs.
+  /// index proved unnecessary. Depends on how far elimination had
+  /// progressed (see Reduce), so it is excluded from operator==.
   uint64_t subsume_checks_skipped = 0;
   /// Pairs rejected in O(1) by the top-k score upper bound (PairwiseJoinTopK):
   /// ubound(f1 ⋈ f2) could not beat the current k-th best score, so neither
-  /// the join nor its score was computed. Schedule-dependent like
-  /// subsume_checks_skipped (each worker prunes against its own heap), hence
-  /// excluded from operator==; the *results* stay bit-identical regardless.
+  /// the join nor its score was computed. Depends on the heap's state (and
+  /// on any seeded floor), hence excluded from operator==; the *results*
+  /// stay bit-identical regardless.
   uint64_t pairs_rejected_score = 0;
 
   // DAG-compressed evaluation counters (docs/ALGEBRA.md, "DAG-compressed
   // evaluation"). Physical like the two above — they measure work *shared*
   // by the class-aware path, which replays the exact logical counter deltas
   // of the evaluation it avoided, so every logical counter stays invariant
-  // with DAG compression on or off. Excluded from operator== because cache
-  // population is schedule-dependent (per-worker caches in the parallel
-  // kernels) and zero with compression off.
+  // with DAG compression on or off. Excluded from operator== because they
+  // are zero with compression off.
   /// Distinct subtree equivalence classes (fragment local forms at the
   /// kernel level, document root classes at the collection level) the
   /// class-aware path interned.
@@ -89,9 +88,8 @@ struct OpMetrics {
 
   void Reset() { *this = OpMetrics(); }
 
-  /// Adds `other`'s counters into this one — how the parallel kernels fold
-  /// per-worker metrics together at the barrier, and how the collection
-  /// engine aggregates per-document metrics.
+  /// Adds `other`'s counters into this one — how the collection engine
+  /// aggregates per-document metrics.
   void Merge(const OpMetrics& other) {
     fragment_joins += other.fragment_joins;
     filter_evals += other.filter_evals;
@@ -110,8 +108,8 @@ struct OpMetrics {
   /// Compares every deterministic counter. `subsume_checks_skipped` and
   /// `pairs_rejected_score` are deliberately excluded: how many checks the ⊖
   /// index skips — and how many pairs the top-k bound prunes — depends on how
-  /// far elimination (or the heap) had progressed, which differs between the
-  /// serial pass and per-worker chunks without affecting any result.
+  /// far elimination (or the heap) had progressed, without affecting any
+  /// result.
   bool operator==(const OpMetrics& other) const {
     return fragment_joins == other.fragment_joins &&
            filter_evals == other.filter_evals &&
@@ -125,10 +123,10 @@ struct OpMetrics {
 
 /// \brief Reusable scratch buffers for the join kernels.
 ///
-/// One arena per worker (or per serial kernel invocation) lets every join
-/// reuse the same grown-once vectors for path extraction and merging instead
-/// of allocating fresh ones per pair. The produced fragment still owns a
-/// fresh exact-size node vector.
+/// One arena per kernel invocation lets every join reuse the same grown-once
+/// vectors for path extraction and merging instead of allocating fresh ones
+/// per pair. The produced fragment still owns a fresh exact-size node
+/// vector.
 struct JoinArena {
   /// Operand nodes merged (sorted, possibly with cross-operand duplicates).
   std::vector<NodeId> merged;
@@ -189,8 +187,8 @@ struct ReduceEntry {
   uint32_t index = 0;
 };
 
-/// \brief Members of `set` ordered by (min_pre, index) — the read-only
-/// candidate index shared by Reduce and ReduceParallel. f ⊆ g requires
+/// \brief Members of `set` ordered by (min_pre, index) — Reduce's read-only
+/// candidate index. f ⊆ g requires
 /// [min_f, max_f] ⊆ [min_g, max_g] and |f| ≤ |g|, so a joined fragment's
 /// subsumption candidates form a contiguous window of this index.
 std::vector<ReduceEntry> BuildReduceIndex(const FragmentSet& set);
@@ -201,8 +199,15 @@ std::pair<size_t, size_t> ReduceWindow(const std::vector<ReduceEntry>& by_min,
                                        NodeId min_pre, NodeId max_pre);
 
 /// \brief Definition 5: { f1 ⋈ f2 | f1 ∈ set1, f2 ∈ set2 }, deduplicated.
+///
+/// The pair loops of PairwiseJoin, PairwiseJoinFiltered, PairwiseJoinTopK
+/// and Reduce poll `cancel` every 1024 pairs. A tripped token returns what
+/// the kernel has built so far, which is not the operator's result: callers
+/// that must not observe a partial result (the query executor) re-check the
+/// token after the call.
 FragmentSet PairwiseJoin(const Document& document, const FragmentSet& set1,
-                         const FragmentSet& set2, OpMetrics* metrics = nullptr);
+                         const FragmentSet& set2, OpMetrics* metrics = nullptr,
+                         const CancelToken* cancel = nullptr);
 
 /// \brief Pairwise join with an anti-monotonic filter applied to every
 /// produced fragment — the push-down building block (Theorem 3). Fragments
@@ -223,7 +228,8 @@ FragmentSet PairwiseJoinFiltered(const Document& document,
                                  const FilterPtr& filter,
                                  const FilterContext& context,
                                  OpMetrics* metrics = nullptr,
-                                 const doc::SubtreeClassIndex* dag = nullptr);
+                                 const doc::SubtreeClassIndex* dag = nullptr,
+                                 const CancelToken* cancel = nullptr);
 
 /// \brief Definition 3: members of `set` satisfying `filter`.
 ///
@@ -238,7 +244,7 @@ FragmentSet Select(FragmentSet set, const FilterPtr& filter,
 /// scored. The executor passes the residual (non-pushed) selection and the
 /// answer-mode condition here so the collector only ever holds true final
 /// answers — a prerequisite for the score bound to prune soundly. An empty
-/// function accepts everything. Must be thread-safe for the parallel kernel.
+/// function accepts everything.
 using FragmentPredicate = std::function<bool(const Fragment&)>;
 
 /// \brief Bootstraps a top-k collector's score floor from a few
@@ -257,11 +263,10 @@ using FragmentPredicate = std::function<bool(const Fragment&)>;
 /// Costs at most max(8, k)² joins; skipped when k is 0 or above 64 (a
 /// scratch that size rarely fills, and large-k floors rarely bite anyway).
 /// Warmup work is deliberately invisible in OpMetrics: the main loop
-/// re-counts every pair it visits, so the counters stay deterministic and
-/// identical between the serial and parallel kernels.
+/// re-counts every pair it visits, so the counters stay deterministic.
 ///
 /// `sums*`/`ev*` are the operand summaries and evidence vectors the calling
-/// kernel already computed (parallel order: sums1[i] describes set1[i]).
+/// kernel already computed (sums1[i] describes set1[i]).
 void WarmupTopKFloor(const Document& document, const FragmentSet& set1,
                      const FragmentSet& set2,
                      const std::vector<FragmentSummary>& sums1,
@@ -333,21 +338,25 @@ StatusOr<FragmentSet> PowersetJoinBruteForce(
 /// eliminated set; the prose and the Figure-4 example make the complement the
 /// intended result — see DESIGN.md.)
 FragmentSet Reduce(const Document& document, const FragmentSet& set,
-                   OpMetrics* metrics = nullptr);
+                   OpMetrics* metrics = nullptr,
+                   const CancelToken* cancel = nullptr);
 
 /// \brief Definition 9 via §3.1.1: iterate F ← F ∪ (F ⋈ F) with fixed-point
 /// checking until no new fragment appears.
 ///
-/// All fixed-point variants poll `cancel` once per iteration: a tripped token
-/// stops the loop and returns the working set *as accumulated so far* — a
-/// subset of the true closure, never garbage. Callers that must not observe a
-/// partial result (the query executor) re-check the token after the call.
+/// All fixed-point variants poll `cancel` once per iteration and pass it to
+/// their pair loops: a tripped token stops the loop and returns the working
+/// set *as accumulated so far* — a subset of the true closure, never
+/// garbage. Callers that must not observe a partial result (the query
+/// executor) re-check the token after the call.
 FragmentSet FixedPointNaive(const Document& document, const FragmentSet& set,
                             OpMetrics* metrics = nullptr,
                             const CancelToken* cancel = nullptr);
 
 /// \brief Definition 9 via Theorem 1: compute k = |⊖(F)| first, then run
 /// exactly k−1 unchecked pairwise self-joins (⋈_k(F) = ⋈_n(F) = F⁺).
+/// Theorem 1 holds when every member of `set` is a single node; any other
+/// family runs FixedPointNaive instead.
 FragmentSet FixedPointReduced(const Document& document, const FragmentSet& set,
                               OpMetrics* metrics = nullptr,
                               const CancelToken* cancel = nullptr);

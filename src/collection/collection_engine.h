@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "collection/collection.h"
+#include "common/thread_pool.h"
 #include "query/engine.h"
 
 namespace xfrag::collection {
@@ -54,10 +55,10 @@ struct CollectionEvalOptions {
   /// Worker threads; 1 evaluates sequentially. Results are merged in
   /// document order either way, so the output is deterministic.
   unsigned parallelism = 1;
-  /// Optional externally owned pool for the per-document fan-out (shared
-  /// with the query executor's pooled kernels). When null and `parallelism`
-  /// > 1, Evaluate spins up a transient pool. A non-null pool overrides
-  /// `parallelism` with its own width.
+  /// Optional externally owned pool for the per-document fan-out, reused
+  /// across evaluations. When null and `parallelism` > 1, Evaluate spins up
+  /// a transient pool. A non-null pool overrides `parallelism` with its own
+  /// width.
   ThreadPool* thread_pool = nullptr;
 };
 

@@ -4,6 +4,7 @@
 
 #include "common/strings.h"
 #include "lang/parser.h"
+#include "query/optimizer.h"
 
 namespace xfrag::lang {
 
@@ -57,19 +58,6 @@ std::unique_ptr<PlanNode> LowerExpr(const Expr& expr) {
   return nullptr;
 }
 
-StatusOr<query::Strategy> ParseStrategyWord(std::string_view name) {
-  // Mirrors the server's JSON "strategy" field values.
-  if (name == "auto") return query::Strategy::kAuto;
-  if (name == "brute") return query::Strategy::kBruteForce;
-  if (name == "naive") return query::Strategy::kFixedPointNaive;
-  if (name == "reduced") return query::Strategy::kFixedPointReduced;
-  if (name == "pushdown") return query::Strategy::kPushDown;
-  return Status::InvalidArgument(
-      StrFormat("unknown strategy '%.*s' (expected auto|brute|naive|reduced|"
-                "pushdown)",
-                static_cast<int>(name.size()), name.data()));
-}
-
 }  // namespace
 
 StatusOr<LoweredQuery> Lower(const ast::Query& query, Diagnostic* diag) {
@@ -103,7 +91,7 @@ StatusOr<LoweredQuery> Lower(const ast::Query& query, Diagnostic* diag) {
     out.canonical_query.terms = query.expr->terms;
     if (query.filter != nullptr) out.canonical_query.filter = query.filter;
     if (!query.strategy.empty()) {
-      auto strategy = ParseStrategyWord(query.strategy);
+      auto strategy = query::ParseStrategyName(query.strategy);
       if (!strategy.ok()) {
         return Fail(diag, query.strategy_offset, strategy.status().message());
       }

@@ -29,6 +29,18 @@ std::string_view StrategyName(Strategy strategy) {
   return "unknown";
 }
 
+StatusOr<Strategy> ParseStrategyName(std::string_view name) {
+  if (name == "auto") return Strategy::kAuto;
+  if (name == "brute") return Strategy::kBruteForce;
+  if (name == "naive") return Strategy::kFixedPointNaive;
+  if (name == "reduced") return Strategy::kFixedPointReduced;
+  if (name == "pushdown") return Strategy::kPushDown;
+  return Status::InvalidArgument(
+      StrFormat("unknown strategy '%.*s' (expected auto|brute|naive|reduced|"
+                "pushdown)",
+                static_cast<int>(name.size()), name.data()));
+}
+
 double ReductionFactor(const doc::Document& document, const FragmentSet& set) {
   if (set.size() < 2) return 0.0;
   FragmentSet reduced = algebra::Reduce(document, set);

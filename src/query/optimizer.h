@@ -9,10 +9,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algebra/filter.h"
 #include "algebra/fragment_set.h"
+#include "common/status.h"
 #include "query/query.h"
 #include "text/inverted_index.h"
 
@@ -38,6 +40,11 @@ enum class Strategy {
 
 /// Stable display name of a strategy.
 std::string_view StrategyName(Strategy strategy);
+
+/// \brief Parses a strategy's request name (auto|brute|naive|reduced|
+/// pushdown), as the JSON "strategy" field, XQL's STRATEGY clause and the
+/// CLI spell it; anything else is InvalidArgument naming the choices.
+StatusOr<Strategy> ParseStrategyName(std::string_view name);
 
 /// Optimizer tuning knobs.
 struct OptimizerOptions {

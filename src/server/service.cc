@@ -48,18 +48,6 @@ int HttpStatusForError(const Status& status) {
   return 500;
 }
 
-StatusOr<Strategy> ParseStrategyName(std::string_view name) {
-  if (name == "auto") return Strategy::kAuto;
-  if (name == "brute") return Strategy::kBruteForce;
-  if (name == "naive") return Strategy::kFixedPointNaive;
-  if (name == "reduced") return Strategy::kFixedPointReduced;
-  if (name == "pushdown") return Strategy::kPushDown;
-  return Status::InvalidArgument(
-      StrFormat("unknown strategy '%.*s' (expected auto|brute|naive|reduced|"
-                "pushdown)",
-                static_cast<int>(name.size()), name.data()));
-}
-
 namespace {
 
 // A structured error body: {"error": ..., "code": ...} plus extra fields

@@ -57,6 +57,7 @@
 #include "common/timer.h"
 #include "query/engine.h"
 #include "query/fixed_point_cache.h"
+#include "query/optimizer.h"
 #include "server/latency_histogram.h"
 #include "server/result_cache.h"
 
@@ -224,8 +225,8 @@ class QueryService {
 /// \brief Maps a Status to the HTTP status the server answers with.
 int HttpStatusForError(const Status& status);
 
-/// \brief Parses a strategy name (auto|brute|naive|reduced|pushdown).
-StatusOr<query::Strategy> ParseStrategyName(std::string_view name);
+/// The strategy-name parser lives beside its inverse, query::StrategyName.
+using query::ParseStrategyName;
 
 }  // namespace xfrag::server
 

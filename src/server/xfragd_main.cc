@@ -1,6 +1,6 @@
 // xfragd — the XML-fragment query daemon.
 //
-//   usage: xfragd [--collection] <file.xml|file.xdb>... [options]
+//   usage: xfragd [--collection] <file.xml>... [options]
 //          xfragd --snapshot <file.snap> [options]
 //
 //   options:
@@ -47,11 +47,9 @@
 #include <vector>
 
 #include "collection/collection.h"
-#include "common/strings.h"
 #include "common/version.h"
 #include "server/server.h"
 #include "storage/snapshot.h"
-#include "storage/storage.h"
 
 namespace {
 
@@ -63,7 +61,7 @@ void HandleSignal(int) { g_shutdown_requested = 1; }
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--collection] <file.xml|file.xdb>... [options]\n"
+      "usage: %s [--collection] <file.xml>... [options]\n"
       "       %s --snapshot <file.snap> [options]\n"
       "  --snapshot F | --trust-snapshot\n"
       "  --host H | --port N | --workers N | --queue N\n"
@@ -206,30 +204,16 @@ int main(int argc, char** argv) {
 
   xfrag::collection::Collection collection;
   for (const std::string& path : files) {
-    if (xfrag::EndsWith(path, ".xdb")) {
-      auto bundle = xfrag::storage::LoadBundleFromFile(path);
-      if (!bundle.ok()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     bundle.status().ToString().c_str());
-        return 1;
-      }
-      auto status = collection.Add(path, std::move(bundle->document));
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-    } else {
-      auto content = ReadFile(path);
-      if (!content.ok()) {
-        std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
-        return 1;
-      }
-      auto status = collection.AddXml(path, *content);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     status.ToString().c_str());
-        return 1;
-      }
+    auto content = ReadFile(path);
+    if (!content.ok()) {
+      std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
+      return 1;
+    }
+    auto status = collection.AddXml(path, *content);
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                   status.ToString().c_str());
+      return 1;
     }
   }
 

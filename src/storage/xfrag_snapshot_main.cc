@@ -1,7 +1,7 @@
 // xfrag_snapshot — compile XML documents into an immutable mmap snapshot,
 // inspect one, or verify one end to end.
 //
-//   usage: xfrag_snapshot build -o <out.snap> <file.xml|file.xdb>...
+//   usage: xfrag_snapshot build -o <out.snap> <file.xml>...
 //          xfrag_snapshot info <file.snap>
 //          xfrag_snapshot verify <file.snap>
 //
@@ -18,16 +18,14 @@
 #include <vector>
 
 #include "collection/collection.h"
-#include "common/strings.h"
 #include "common/version.h"
 #include "storage/snapshot.h"
-#include "storage/storage.h"
 
 namespace {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s build -o <out.snap> <file.xml|file.xdb>...\n"
+               "usage: %s build -o <out.snap> <file.xml>...\n"
                "       %s info <file.snap>\n"
                "       %s verify <file.snap>\n"
                "       %s --version\n",
@@ -47,29 +45,16 @@ int Build(const std::string& out_path, const std::vector<std::string>& files) {
   xfrag::text::IndexOptions index_options;
   xfrag::collection::Collection collection(index_options);
   for (const std::string& path : files) {
-    if (xfrag::EndsWith(path, ".xdb")) {
-      auto bundle = xfrag::storage::LoadBundleFromFile(path);
-      if (!bundle.ok()) {
-        std::fprintf(stderr, "%s\n", bundle.status().ToString().c_str());
-        return 1;
-      }
-      auto status = collection.Add(path, std::move(bundle->document));
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-    } else {
-      auto content = ReadFile(path);
-      if (!content.ok()) {
-        std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
-        return 1;
-      }
-      auto status = collection.AddXml(path, *content);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     status.ToString().c_str());
-        return 1;
-      }
+    auto content = ReadFile(path);
+    if (!content.ok()) {
+      std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
+      return 1;
+    }
+    auto status = collection.AddXml(path, *content);
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                   status.ToString().c_str());
+      return 1;
     }
   }
   auto written =

@@ -85,28 +85,6 @@ InvertedIndex InvertedIndex::Build(const doc::Document& document,
   return index;
 }
 
-StatusOr<InvertedIndex> InvertedIndex::FromPostings(
-    std::unordered_map<std::string, std::vector<doc::NodeId>> postings) {
-  InvertedIndex index;
-  for (auto& [term, list] : postings) {
-    if (term.empty()) {
-      return Status::InvalidArgument("empty term in posting map");
-    }
-    if (term != AsciiToLower(term)) {
-      return Status::InvalidArgument("term '" + term + "' is not lowercase");
-    }
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (i > 0 && list[i] <= list[i - 1]) {
-        return Status::InvalidArgument("posting list for '" + term +
-                                       "' is not sorted and unique");
-      }
-    }
-    index.posting_count_ += list.size();
-  }
-  index.postings_ = std::move(postings);
-  return index;
-}
-
 StatusOr<InvertedIndex> InvertedIndex::FromSnapshotColumns(
     const SnapshotColumns& c, const TokenizerOptions& normalization) {
   if (c.term_offsets == nullptr || c.posting_offsets == nullptr) {

@@ -40,12 +40,6 @@ class InvertedIndex {
   static InvertedIndex Build(const doc::Document& document,
                              const IndexOptions& options = {});
 
-  /// \brief Reconstructs an index from term → sorted posting list pairs
-  /// (the storage module's deserialization path). Lists must be sorted and
-  /// duplicate-free; returns InvalidArgument otherwise.
-  static StatusOr<InvertedIndex> FromPostings(
-      std::unordered_map<std::string, std::vector<doc::NodeId>> postings);
-
   /// \brief The raw term-dictionary + postings columns of one document
   /// inside a snapshot. Terms are stored sorted (binary-searchable) in a
   /// blob with offsets; each term's posting list is a varint delta run in

@@ -24,7 +24,7 @@
 //   xfrag::baseline   — SLCA / ELCA / smallest-subtree comparisons
 //   xfrag::rel        — the relational backend ([13])
 //   xfrag::collection — multi-document collections
-//   xfrag::storage    — binary persistence bundles
+//   xfrag::storage    — mmap collection snapshots
 //   xfrag::gen        — synthetic corpora and the paper's Figure-1 document
 
 #ifndef XFRAG_XFRAG_H_
@@ -50,7 +50,7 @@
 #include "query/query.h"         // IWYU pragma: export
 #include "query/ranking.h"       // IWYU pragma: export
 #include "rel/engine.h"          // IWYU pragma: export
-#include "storage/storage.h"     // IWYU pragma: export
+#include "storage/snapshot.h"    // IWYU pragma: export
 #include "text/inverted_index.h" // IWYU pragma: export
 #include "text/tokenizer.h"      // IWYU pragma: export
 #include "xml/dom.h"             // IWYU pragma: export

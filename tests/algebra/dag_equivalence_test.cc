@@ -1,10 +1,10 @@
 // The DAG-compression contract (docs/ALGEBRA.md, "DAG-compressed
 // evaluation"): for every corpus — duplicated or not — the class-aware
 // kernels return results bit-identical to the baseline and accumulate
-// exactly the same *logical* OpMetrics, across strategies, thread counts
-// {1, 2, 4, 8}, top-k values, and tie-heavy (heavily duplicated) inputs.
-// Property-tested over seeded stamped corpora (gen::StampDuplicateSubtrees).
-// Runs under ASan and TSan via `ctest -L parallel` (scripts/check.sh).
+// exactly the same *logical* OpMetrics, across strategies, top-k values, and
+// tie-heavy (heavily duplicated) inputs. Property-tested over seeded stamped
+// corpora (gen::StampDuplicateSubtrees). Runs under ASan, UBSan and TSan via
+// `ctest -L parallel` (scripts/check.sh).
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,6 @@
 #include <tuple>
 
 #include "algebra/ops.h"
-#include "algebra/ops_parallel.h"
-#include "common/thread_pool.h"
 #include "doc/subtree_classes.h"
 #include "gen/corpus.h"
 #include "query/engine.h"
@@ -108,13 +106,12 @@ void ExpectInvariantLogicalMetrics(const OpMetrics& baseline,
   EXPECT_TRUE(baseline == dag);
 }
 
-// (seed, duplication rate, thread count).
+// (seed, duplication rate).
 class DagEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, double, unsigned>> {
+    : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {
  protected:
   uint64_t seed() const { return std::get<0>(GetParam()); }
   double duplication() const { return std::get<1>(GetParam()); }
-  unsigned threads() const { return std::get<2>(GetParam()); }
 };
 
 TEST_P(DagEquivalenceTest, PairwiseJoinFiltered) {
@@ -122,21 +119,15 @@ TEST_P(DagEquivalenceTest, PairwiseJoinFiltered) {
   DagSwitchGuard guard(true);
   FilterPtr filter = filters::SizeAtMost(5);
   FilterContext context{input.document.get(), input.index.get()};
-  OpMetrics baseline_metrics, serial_metrics, parallel_metrics;
+  OpMetrics baseline_metrics, dag_metrics;
   FragmentSet baseline =
       PairwiseJoinFiltered(*input.document, input.set1, input.set2, filter,
                            context, &baseline_metrics, /*dag=*/nullptr);
-  FragmentSet serial_dag =
+  FragmentSet with_dag =
       PairwiseJoinFiltered(*input.document, input.set1, input.set2, filter,
-                           context, &serial_metrics, input.classes.get());
-  ThreadPool pool(threads());
-  FragmentSet parallel_dag = PairwiseJoinFilteredParallel(
-      *input.document, input.set1, input.set2, filter, context, &pool,
-      &parallel_metrics, input.classes.get());
-  ExpectIdenticalSets(baseline, serial_dag);
-  ExpectIdenticalSets(baseline, parallel_dag);
-  ExpectInvariantLogicalMetrics(baseline_metrics, serial_metrics);
-  ExpectInvariantLogicalMetrics(baseline_metrics, parallel_metrics);
+                           context, &dag_metrics, input.classes.get());
+  ExpectIdenticalSets(baseline, with_dag);
+  ExpectInvariantLogicalMetrics(baseline_metrics, dag_metrics);
 }
 
 TEST_P(DagEquivalenceTest, SelectAndFixedPointFiltered) {
@@ -153,21 +144,15 @@ TEST_P(DagEquivalenceTest, SelectAndFixedPointFiltered) {
   ExpectIdenticalSets(selected_base, selected_dag);
   ExpectInvariantLogicalMetrics(select_base, select_dag);
 
-  OpMetrics fp_base, fp_serial, fp_parallel;
+  OpMetrics fp_base, fp_dag;
   FragmentSet fixed_base =
       FixedPointFiltered(*input.document, input.set1, filter, context,
                          &fp_base, /*cancel=*/nullptr, /*dag=*/nullptr);
-  FragmentSet fixed_serial =
+  FragmentSet fixed_dag =
       FixedPointFiltered(*input.document, input.set1, filter, context,
-                         &fp_serial, /*cancel=*/nullptr, input.classes.get());
-  ThreadPool pool(threads());
-  FragmentSet fixed_parallel = FixedPointFilteredParallel(
-      *input.document, input.set1, filter, context, &pool, &fp_parallel,
-      /*cancel=*/nullptr, input.classes.get());
-  ExpectIdenticalSets(fixed_base, fixed_serial);
-  ExpectIdenticalSets(fixed_base, fixed_parallel);
-  ExpectInvariantLogicalMetrics(fp_base, fp_serial);
-  ExpectInvariantLogicalMetrics(fp_base, fp_parallel);
+                         &fp_dag, /*cancel=*/nullptr, input.classes.get());
+  ExpectIdenticalSets(fixed_base, fixed_dag);
+  ExpectInvariantLogicalMetrics(fp_base, fp_dag);
 }
 
 TEST_P(DagEquivalenceTest, TopKBitIdenticalAcrossKValues) {
@@ -177,7 +162,6 @@ TEST_P(DagEquivalenceTest, TopKBitIdenticalAcrossKValues) {
   FilterContext context{input.document.get(), input.index.get()};
   query::AnswerScorer scorer({"kwone", "kwtwo"}, *input.document,
                              *input.index);
-  ThreadPool pool(threads());
   // Heavily duplicated corpora are tie-heavy by construction (isomorphic
   // copies score identically), so small k exercises the deterministic
   // tie-break under replay.
@@ -186,29 +170,18 @@ TEST_P(DagEquivalenceTest, TopKBitIdenticalAcrossKValues) {
     PairwiseJoinTopK(*input.document, input.set1, input.set2, filter, context,
                      scorer, {}, &baseline_collector, /*metrics=*/nullptr,
                      /*cancel=*/nullptr, /*dag=*/nullptr);
-    TopKCollector serial_collector(k);
+    TopKCollector dag_collector(k);
     PairwiseJoinTopK(*input.document, input.set1, input.set2, filter, context,
-                     scorer, {}, &serial_collector, /*metrics=*/nullptr,
+                     scorer, {}, &dag_collector, /*metrics=*/nullptr,
                      /*cancel=*/nullptr, input.classes.get());
-    TopKCollector parallel_collector(k);
-    PairwiseJoinTopKParallel(*input.document, input.set1, input.set2, filter,
-                             context, scorer, {}, &parallel_collector, &pool,
-                             /*metrics=*/nullptr, /*cancel=*/nullptr,
-                             input.classes.get());
     auto baseline = baseline_collector.TakeSorted();
-    auto serial = serial_collector.TakeSorted();
-    auto parallel = parallel_collector.TakeSorted();
-    ASSERT_EQ(baseline.size(), serial.size()) << "k=" << k;
-    ASSERT_EQ(baseline.size(), parallel.size()) << "k=" << k;
+    auto with_dag = dag_collector.TakeSorted();
+    ASSERT_EQ(baseline.size(), with_dag.size()) << "k=" << k;
     for (size_t i = 0; i < baseline.size(); ++i) {
       // Bit-identical: same fragments, same doubles, same order.
-      ASSERT_EQ(baseline[i].fragment, serial[i].fragment)
+      ASSERT_EQ(baseline[i].fragment, with_dag[i].fragment)
           << "k=" << k << " position " << i;
-      ASSERT_EQ(baseline[i].score, serial[i].score)
-          << "k=" << k << " position " << i;
-      ASSERT_EQ(baseline[i].fragment, parallel[i].fragment)
-          << "k=" << k << " position " << i;
-      ASSERT_EQ(baseline[i].score, parallel[i].score)
+      ASSERT_EQ(baseline[i].score, with_dag[i].score)
           << "k=" << k << " position " << i;
     }
   }
@@ -269,7 +242,6 @@ TEST_P(DagEquivalenceTest, EngineBitIdenticalAcrossStrategiesAndSwitch) {
 
     DagSwitchGuard guard(true);
     query::EvalOptions on_options = off_options;
-    on_options.executor.parallelism = threads();
     auto on = engine.Evaluate(q, on_options);
     ASSERT_TRUE(on.ok()) << on.status().ToString();
     ExpectIdenticalSets(off->answers, on->answers);
@@ -279,11 +251,10 @@ TEST_P(DagEquivalenceTest, EngineBitIdenticalAcrossStrategiesAndSwitch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsByDuplicationByThreads, DagEquivalenceTest,
+    SeedsByDuplication, DagEquivalenceTest,
     ::testing::Combine(::testing::Values(uint64_t{51}, uint64_t{52},
                                          uint64_t{53}),
-                       ::testing::Values(0.5, 0.9),
-                       ::testing::Values(1u, 2u, 4u, 8u)));
+                       ::testing::Values(0.5, 0.9)));
 
 // The replay path must actually engage on a duplicated corpus — otherwise
 // the equivalence assertions above would pass vacuously.

@@ -1,7 +1,6 @@
 // Collection evaluation on the shared thread pool: answers, metrics, and
-// provenance are identical for every parallelism, an external pool can be
-// reused across evaluations (and shared with the per-document kernels), and
-// nested parallelism (documents × kernels on one pool) stays correct.
+// provenance are identical for every parallelism, and an external pool can
+// be reused across evaluations.
 
 #include <gtest/gtest.h>
 
@@ -76,32 +75,14 @@ TEST(CollectionParallelTest, ExternalPoolIsReusedAcrossEvaluations) {
   q.terms = {"kwone", "kwtwo"};
   CollectionEvalOptions options;
   options.thread_pool = &pool;
+  auto reference = engine.Evaluate(q, {});
   auto first = engine.Evaluate(q, options);
   auto second = engine.Evaluate(q, options);
+  ASSERT_TRUE(reference.ok());
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
+  ExpectSameResults(*reference, *first);
   ExpectSameResults(*first, *second);
-}
-
-TEST(CollectionParallelTest, NestedDocumentAndKernelParallelismOnOnePool) {
-  // Per-document fan-out and the per-query pooled kernels share the same
-  // pool: a chunk body issues nested ParallelFor calls. Must neither
-  // deadlock nor change any output.
-  Collection collection = MakeGeneratedCollection(5, 71);
-  CollectionEngine engine(collection);
-  query::Query q;
-  q.terms = {"kwone", "kwtwo"};
-
-  auto reference = engine.Evaluate(q, {});
-  ASSERT_TRUE(reference.ok());
-
-  ThreadPool pool(3);
-  CollectionEvalOptions nested;
-  nested.thread_pool = &pool;
-  nested.per_document.executor.thread_pool = &pool;
-  auto result = engine.Evaluate(q, nested);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectSameResults(*reference, *result);
 }
 
 }  // namespace

@@ -1,18 +1,35 @@
-// Cross-module pipeline: corpus → XML text → parse → index → persist →
-// reload → collection → query. Every stage must preserve query answers.
+// Cross-module pipeline: corpus → XML text → parse → index → snapshot →
+// mmap reload → collection → query. Every stage must preserve query answers.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 #include "collection/collection_engine.h"
 #include "gen/corpus.h"
 #include "query/engine.h"
-#include "storage/storage.h"
+#include "storage/snapshot.h"
 #include "xml/parser.h"
 
 namespace xfrag {
 namespace {
+
+// Prefixed with the pid: ctest runs each test in its own process, in
+// parallel, and two processes must never write the same file.
+std::string TestPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "-" + name;
+}
+
+// Writes `document` as a one-member snapshot at `path`.
+Status WriteOneDocumentSnapshot(const doc::Document& document,
+                                const std::string& path) {
+  collection::Collection single;
+  XFRAG_RETURN_NOT_OK(single.Add("only", document));
+  return storage::WriteSnapshot(single, text::IndexOptions{}, path);
+}
 
 TEST(PersistencePipelineTest, AnswersSurviveEveryRepresentation) {
   // Build a corpus with planted keywords.
@@ -47,16 +64,17 @@ TEST(PersistencePipelineTest, AnswersSurviveEveryRepresentation) {
   ASSERT_TRUE(parsed_result.ok());
   EXPECT_TRUE(parsed_result->answers.SetEquals(direct_result->answers));
 
-  // Path C: through a persisted bundle.
-  std::string path = ::testing::TempDir() + "/xfrag_pipeline_test.xdb";
-  ASSERT_TRUE(storage::SaveBundleToFile(path, *direct, &direct_index).ok());
-  auto bundle = storage::LoadBundleFromFile(path);
-  ASSERT_TRUE(bundle.ok());
-  ASSERT_TRUE(bundle->index.has_value());
-  query::QueryEngine bundle_engine(bundle->document, *bundle->index);
-  auto bundle_result = bundle_engine.Evaluate(q);
-  ASSERT_TRUE(bundle_result.ok());
-  EXPECT_TRUE(bundle_result->answers.SetEquals(direct_result->answers));
+  // Path C: through a persisted snapshot, served zero-copy from the mapping.
+  std::string path = TestPath("xfrag_pipeline_test.snap");
+  ASSERT_TRUE(WriteOneDocumentSnapshot(*direct, path).ok());
+  auto snapshot = storage::LoadCollectionFromSnapshot(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot->collection.size(), 1u);
+  const collection::CollectionEntry& loaded = snapshot->collection.entry(0);
+  query::QueryEngine snapshot_engine(loaded.document, loaded.index);
+  auto snapshot_result = snapshot_engine.Evaluate(q);
+  ASSERT_TRUE(snapshot_result.ok());
+  EXPECT_TRUE(snapshot_result->answers.SetEquals(direct_result->answers));
   std::remove(path.c_str());
 
   // Path D: through a collection (single member).
@@ -81,18 +99,23 @@ TEST(PersistencePipelineTest, RebuiltIndexMatchesPersistedIndex) {
   ASSERT_TRUE(document.ok());
   auto index = text::InvertedIndex::Build(*document);
 
-  std::string data = storage::WriteBundle(*document, &index);
-  auto bundle = storage::ReadBundle(data);
-  ASSERT_TRUE(bundle.ok());
-  ASSERT_TRUE(bundle->index.has_value());
+  std::string path = TestPath("xfrag_pipeline_index.snap");
+  ASSERT_TRUE(WriteOneDocumentSnapshot(*document, path).ok());
+  auto snapshot = storage::LoadCollectionFromSnapshot(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const collection::CollectionEntry& loaded = snapshot->collection.entry(0);
 
-  // An index rebuilt from the reloaded document equals the persisted one.
-  auto rebuilt = text::InvertedIndex::Build(bundle->document);
-  EXPECT_EQ(rebuilt.term_count(), bundle->index->term_count());
-  EXPECT_EQ(rebuilt.posting_count(), bundle->index->posting_count());
+  // An index rebuilt from the reloaded document equals the persisted one,
+  // and both equal the index of the original document.
+  auto rebuilt = text::InvertedIndex::Build(loaded.document);
+  EXPECT_EQ(rebuilt.term_count(), loaded.index.term_count());
+  EXPECT_EQ(rebuilt.posting_count(), loaded.index.posting_count());
+  EXPECT_EQ(index.term_count(), loaded.index.term_count());
   for (const auto& term : rebuilt.Terms()) {
-    EXPECT_EQ(rebuilt.Lookup(term), bundle->index->Lookup(term)) << term;
+    EXPECT_EQ(rebuilt.Lookup(term), loaded.index.Lookup(term)) << term;
+    EXPECT_EQ(index.Lookup(term), loaded.index.Lookup(term)) << term;
   }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -178,6 +178,30 @@ TEST(XqlEquivalenceTest, ComposedQueriesAreDeterministicAcrossDag) {
   }
 }
 
+// Theorem 1's k = |⊖(F)| bound holds only for single-node operands. Here
+// {a} JOIN {b} yields {r, x2, x3} and {r, x1, x2}, whose join is the whole
+// document, while ⊖ keeps too few members for k − 1 joins to reach it.
+// FIXPOINT REDUCED must still return exactly what FIXPOINT returns.
+TEST(XqlEquivalenceTest, FixpointReducedMatchesFixpointOnJoinedOperands) {
+  collection::Collection collection;
+  ASSERT_TRUE(
+      collection.AddXml("r.xml", "<r>a<x>a b</x><x>a</x><x>b</x></r>").ok());
+  ServiceOptions options;
+  options.result_cache_bytes = 0;
+  QueryService service(collection, options);
+  auto answers = [&](const char* text) {
+    json::Value request = json::Value::Object();
+    request.Set("q", json::Value(std::string(text)));
+    QueryOutcome outcome = service.HandleQuery(request.Dump());
+    EXPECT_EQ(outcome.http_status, 200) << text << outcome.body.Dump();
+    const json::Value* list = outcome.body.Find("answers");
+    return list != nullptr ? list->Dump() : std::string();
+  };
+  const std::string naive = answers("FIXPOINT({a} JOIN {b})");
+  EXPECT_NE(naive.find("[0,1,2,3]"), std::string::npos) << naive;
+  EXPECT_EQ(answers("FIXPOINT REDUCED({a} JOIN {b})"), naive);
+}
+
 TEST(XqlEquivalenceTest, ComposedExplainReportsExplicitStrategy) {
   collection::Collection collection = MakeCollection();
   QueryService service(collection, {});

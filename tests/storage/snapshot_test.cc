@@ -7,6 +7,8 @@
 #include "storage/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/types.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -276,6 +278,22 @@ TEST(SnapshotTest, MissingFileIsNotFound) {
   auto reader = SnapshotReader::Open("/nonexistent/dir/x.snap");
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
+}
+
+TEST(SnapshotTest, FailedWriteLeavesNoTempFile) {
+  // Target an occupied directory: the temp file writes fine but the final
+  // rename must fail, and WriteFileDurable must remove the temp afterwards.
+  std::string dir = TestPath("snapshot_target_dir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  std::string inner = dir + "/occupant";
+  { std::ofstream out(inner); out << "x"; }
+  auto written = WriteSnapshot(BuildCollection(), text::IndexOptions{}, dir);
+  EXPECT_FALSE(written.ok());
+  struct ::stat st{};
+  EXPECT_NE(::stat((dir + ".tmp").c_str(), &st), 0)
+      << "temp file survived a failed write";
+  std::remove(inner.c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST(SnapshotTest, BadMagicRejected) {
